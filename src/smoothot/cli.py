@@ -4,8 +4,7 @@ One command per solver family, with reproducible file I/O: histograms as one
 value per line, matrices as comma-separated rows, 2-D densities as ASCII PGM,
 and a JSON config holding the numeric parameters.  Exit code 0 means the
 requested tolerance was reached (3 when the iteration budget ran out first,
-1 for I/O or data errors, 2 for config errors).  The OT_THREADS environment
-variable caps the parallelism of batched gradient evaluations.
+1 for I/O or data errors, 2 for config errors).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared numeric types and the simplex/entropy/soft-minimum primitives.
+"""Shared numeric types and the simplex/entropy/soft-minimum/log-sum-exp primitives.
 
 Everything here is a pure function of its inputs; the wrapper types freeze
 their arrays after validation, so values can be shared freely across threads.
@@ -6,7 +6,6 @@ their arrays after validation, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,14 +32,6 @@ class IterationLimitError(RuntimeError):
         self.best = best
         self.residual = residual
         self.iterations = iterations
-
-
-def max_threads() -> int:
-    """Thread cap for batched evaluations, read from the OT_THREADS env var."""
-    try:
-        return max(1, int(os.environ.get("OT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -289,6 +280,29 @@ class Potentials:
             raise ValueError("potentials must be finite")
         object.__setattr__(self, "f", _frozen(fv))
         object.__setattr__(self, "g", _frozen(gv))
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over `axis` (every entry when None), in plain numpy.
+
+    Each slice is shifted by its maximum before exponentiation, so entries far
+    outside the exp range neither overflow nor underflow.  A slice that is all
+    -inf gives -inf and one holding +inf gives +inf, without warnings.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    all_finite = finite.all()
+    if not all_finite:
+        m = np.where(finite, m, 0.0)  # an infinite maximum is no shift
+    t = a - m
+    np.exp(t, out=t)
+    s = t.sum(axis=axis)
+    m = m.reshape(()) if axis is None else m.squeeze(axis)
+    if all_finite:
+        return np.log(s) + m  # every sum holds exp(0) = 1
+    with np.errstate(divide="ignore"):
+        return np.log(s) + m  # an all -inf slice sums to 0
 
 
 def softmin(u, epsilon: float) -> float:

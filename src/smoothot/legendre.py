@@ -8,14 +8,12 @@ joint transform.  All evaluations run in the log domain.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import GridCost2D, as_cost, entropy, grid_kernel_apply, max_threads
+from .core import GridCost2D, as_cost, entropy, grid_kernel_apply, logsumexp
 
 
 def _grid_log_ktu_and_grad(fv, log_b, cost: GridCost2D, epsilon):
@@ -96,44 +94,12 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     return SemidualEval(value=value, gradient=gradient, hessian=hessian)
 
 
-def _batch_columns(fcols, bcols, cost, logk, epsilon):
-    if isinstance(cost, GridCost2D):
-        values = np.empty(fcols.shape[1])
-        grads = np.empty_like(fcols)
-        log_b = np.log(bcols)
-        for k in range(fcols.shape[1]):
-            log_ktu, log_grad = _grid_log_ktu_and_grad(
-                fcols[:, k], log_b[:, k], cost, epsilon
-            )
-            values[k] = epsilon * (
-                -float(np.dot(bcols[:, k], log_b[:, k])) + 1.0
-                + float(np.dot(bcols[:, k], log_ktu))
-            )
-            grads[:, k] = np.exp(log_grad)
-        return values, grads
-
-    # (N, n, m) broadcast: one logsumexp pass per axis
-    t = logk[None, :, :] + fcols.T[:, :, None] / epsilon
-    log_ktu = logsumexp(t, axis=1)                       # (N, m)
-    log_v = np.log(bcols.T) - log_ktu                    # (N, m)
-    values = epsilon * (
-        -np.sum(bcols.T * np.log(bcols.T), axis=1)
-        + 1.0
-        + np.sum(bcols.T * log_ktu, axis=1)
-    )
-    log_grad = fcols.T / epsilon + logsumexp(
-        logk[None, :, :] + log_v[:, None, :], axis=2
-    )
-    return values, np.exp(log_grad).T
-
-
 def semidual_conjugate_batch(F, B, cost, epsilon: float):
     """Columnwise semidual transform: values (N,) and gradient matrix (n, N).
 
     Column k matches semidual_conjugate(F[:, k], B[:, k]) exactly: both expose
     the value convention of the scalar path, which carries a +eps offset over
     the raw vectorized formula -eps * 1^T (B o log(B/(K^T A))).
-    Columns may be evaluated in parallel; OT_THREADS caps the worker count.
     """
     if not epsilon > 0:
         raise ValueError("semidual_conjugate_batch requires epsilon > 0")
@@ -147,21 +113,35 @@ def semidual_conjugate_batch(F, B, cost, epsilon: float):
     if np.any(bm <= 0):
         raise ValueError("batch columns must be strictly positive histograms")
 
-    logk = None if isinstance(cost, GridCost2D) else -c / epsilon
-    n_workers = min(max_threads(), fm.shape[1])
-    if n_workers <= 1 or fm.shape[1] == 1:
-        return _batch_columns(fm, bm, cost, logk, epsilon)
-    chunks = np.array_split(np.arange(fm.shape[1]), n_workers)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: _batch_columns(fm[:, idx], bm[:, idx], cost, logk, epsilon),
-                chunks,
+    if isinstance(cost, GridCost2D):
+        values = np.empty(fm.shape[1])
+        grads = np.empty_like(fm)
+        log_b = np.log(bm)
+        for k in range(fm.shape[1]):
+            log_ktu, log_grad = _grid_log_ktu_and_grad(
+                fm[:, k], log_b[:, k], cost, epsilon
             )
-        )
-    values = np.concatenate([p[0] for p in parts])
-    grads = np.hstack([p[1] for p in parts])
-    return values, grads
+            values[k] = epsilon * (
+                -float(np.dot(bm[:, k], log_b[:, k])) + 1.0
+                + float(np.dot(bm[:, k], log_ktu))
+            )
+            grads[:, k] = np.exp(log_grad)
+        return values, grads
+
+    # (N, n, m) broadcast: one logsumexp pass per axis
+    logk = -c / epsilon
+    t = logk[None, :, :] + fm.T[:, :, None] / epsilon
+    log_ktu = logsumexp(t, axis=1)                       # (N, m)
+    log_v = np.log(bm.T) - log_ktu                       # (N, m)
+    values = epsilon * (
+        -np.sum(bm.T * np.log(bm.T), axis=1)
+        + 1.0
+        + np.sum(bm.T * log_ktu, axis=1)
+    )
+    log_grad = fm.T / epsilon + logsumexp(
+        logk[None, :, :] + log_v[:, None, :], axis=2
+    )
+    return values, np.exp(log_grad).T
 
 
 def joint_conjugate(f, g, cost, epsilon: float,

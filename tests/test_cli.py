@@ -183,22 +183,6 @@ class TestBarycenterCommand:
             assert payload["iterations"] >= 1
         assert outs[0] == outs[1]
 
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(117)
-        b1 = rng.dirichlet(np.ones(6)) + 1e-3
-        b2 = rng.dirichlet(np.ones(6)) + 1e-3
-        f1 = write_vec(tmp_path / "b1.txt", b1 / b1.sum())
-        f2 = write_vec(tmp_path / "b2.txt", b2 / b2.sum())
-        cfg = barycenter_config(tmp_path)
-        out1 = tmp_path / "serial.csv"
-        assert run(["barycenter", "--config", cfg, "--inputs", f1, f2,
-                    "--out-csv", out1]) == 0
-        monkeypatch.setenv("OT_THREADS", "2")
-        out2 = tmp_path / "threaded.csv"
-        assert run(["barycenter", "--config", cfg, "--inputs", f1, f2,
-                    "--out-csv", out2]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_config_validation_enumerates_offenders(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": "small", "bogus": 1, "tol": 1e-7}))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from smoothot.core import (
     entropy,
     grid_points_2d,
     kl_divergence,
-    max_threads,
+    logsumexp,
     rescale_median,
     softmin,
 )
@@ -21,6 +23,17 @@ from smoothot.core import (
 SOFTMIN_01_EPS1 = -0.3132616875182228
 ENTROPY_HALF_HALF = 1.6931471805599453
 LOG2 = 0.6931471805599453
+
+# log-sum-exp of LSE_MATRIX, whose entries spread past +-745 so that a naive
+# exp overflows or underflows, and of the (2, 3, 3) stack [M, M.T - 3]
+LSE_MATRIX = [[800.0, 799.0, -800.0], [801.0, -801.5, -802.0], [-1000.0, -800.5, -801.0]]
+LSE_ALL = 801.4076059644444
+LSE_AXIS0 = [801.3132616875182, 799.0, -799.5923940355556]
+LSE_AXIS1 = [800.3132616875182, 801.0, -800.0259230158199]
+LSE_STACK_AXIS1 = [[801.3132616875182, 799.0, -799.5923940355556],
+                   [797.3132616875182, 798.0, -803.0259230158199]]
+LSE_STACK_AXIS2 = [[800.3132616875182, 801.0, -800.0259230158199],
+                   [798.3132616875182, 796.0, -802.5923940355556]]
 
 
 class TestSoftmin:
@@ -62,6 +75,35 @@ class TestSoftmin:
             softmin([np.inf, 1.0], 1.0)
         with pytest.raises(ValueError):
             softmin([1.0], -0.1)
+
+
+class TestLogsumexp:
+    def test_matrix_axes_match_frozen_sums(self):
+        m = np.array(LSE_MATRIX)
+        assert logsumexp(m) == pytest.approx(LSE_ALL, rel=1e-15)
+        assert logsumexp(m, axis=0) == pytest.approx(LSE_AXIS0, rel=1e-15)
+        assert logsumexp(m, axis=1) == pytest.approx(LSE_AXIS1, rel=1e-15)
+
+    def test_batched_axes_match_frozen_sums(self):
+        m = np.array(LSE_MATRIX)
+        stack = np.stack([m, m.T - 3.0])
+        assert logsumexp(stack, axis=1) == pytest.approx(np.array(LSE_STACK_AXIS1), rel=1e-15)
+        assert logsumexp(stack, axis=2) == pytest.approx(np.array(LSE_STACK_AXIS2), rel=1e-15)
+
+    def test_all_negative_infinite_slice(self):
+        m = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = logsumexp(m, axis=1)
+            whole = logsumexp(np.full(3, -np.inf))
+        assert rows[0] == -np.inf and rows[1] == 0.0
+        assert whole == -np.inf
+        assert not np.any(np.isnan(rows))
+
+    def test_positive_infinite_entry(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logsumexp([1.0, np.inf, -2.0]) == np.inf
 
 
 class TestEntropy:
@@ -201,12 +243,3 @@ class TestPotentials:
             Potentials([np.inf], [0.0])
         p = Potentials([1.0, -2.0], [0.5])
         assert p.f.size == 2 and p.g.size == 1
-
-
-def test_max_threads_env(monkeypatch):
-    monkeypatch.delenv("OT_THREADS", raising=False)
-    assert max_threads() == 1
-    monkeypatch.setenv("OT_THREADS", "4")
-    assert max_threads() == 4
-    monkeypatch.setenv("OT_THREADS", "junk")
-    assert max_threads() == 1

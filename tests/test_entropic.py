@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smoothot import entropic
 from smoothot.core import FeasibilityError, GridCost2D, IterationLimitError
 from smoothot.entropic import (
     ctransform_of_f,
@@ -157,6 +158,26 @@ class TestSinkhorn:
             sinkhorn([1.0], [1.0], [[0.0]], 0.0)
         with pytest.raises(ValueError):
             sinkhorn([1.0], [1.0], [[0.0]], 0.5, tol=0.0)
+
+    def test_dense_sweep_makes_two_reductions(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        a = random_histogram(rng, 10, floor=1e-3)
+        b = random_histogram(rng, 10, floor=1e-3)
+        c = rng.uniform(size=(10, 10))
+        calls = []
+        reduce = entropic.logsumexp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(entropic, "logsumexp", counted)
+        res = sinkhorn(a, b, c, 0.05, tol=1e-9)
+        # one reduction before the first sweep, two per sweep, one in dual_value
+        assert res.iterations > 10
+        assert len(calls) <= 2 * res.iterations + 2
+        assert res.coupling.row_residual == pytest.approx(res.row_residual, abs=1e-14)
+        assert res.coupling.col_residual == pytest.approx(res.col_residual, abs=1e-14)
 
     def test_iteration_limit_carries_residual(self):
         rng = np.random.default_rng(13)

@@ -110,16 +110,6 @@ class TestSemidualBatch:
         _, grads = semidual_conjugate_batch(F, B, rng.uniform(size=(5, 5)), 0.5)
         assert np.abs(grads.sum(axis=0) - 1.0).max() <= 1e-10
 
-    def test_thread_cap_changes_nothing(self, monkeypatch):
-        rng = np.random.default_rng(28)
-        F = rng.normal(size=(6, 4))
-        B = np.column_stack([random_histogram(rng, 6) for _ in range(4)])
-        c = rng.uniform(size=(6, 6))
-        v1, g1 = semidual_conjugate_batch(F, B, c, 0.3)
-        monkeypatch.setenv("OT_THREADS", "3")
-        v2, g2 = semidual_conjugate_batch(F, B, c, 0.3)
-        assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             semidual_conjugate_batch(np.zeros((3, 2)), np.ones((4, 2)) / 4, np.zeros((3, 3)), 0.5)
