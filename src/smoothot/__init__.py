@@ -22,7 +22,6 @@ from .core import (
 )
 from .entropic import (
     ctransform_of_f,
-    ctransform_of_g,
     dual_value,
     primal_value,
     sinkhorn,
@@ -85,7 +84,6 @@ __all__ = [
     "SampledMeasure",
     "SemidualEval",
     "ctransform_of_f",
-    "ctransform_of_g",
     "dual_objective_grad",
     "dual_value",
     "entropy",

@@ -54,18 +54,17 @@ _CONFIG_SCHEMAS = {
     "barycenter": {"epsilon": (int, float), "tol": (int, float),
                    "max_iter": int, "weights": list, "cost": dict,
                    "rescale_median": bool, "step_rule": str,
-                   "tau": (int, float), "seed": int},
+                   "tau": (int, float)},
     "regbary": {"epsilon": (int, float), "tol": (int, float), "max_iter": int,
                 "weights": list, "cost": dict, "rescale_median": bool,
                 "lambda": (int, float), "beta": int, "regularizer": str,
                 "rho": (int, float), "indices": list, "values": list,
-                "operator": (str, dict), "accel": bool, "tau": (int, float),
-                "seed": int},
+                "operator": (str, dict), "accel": bool, "tau": (int, float)},
     "flow": {"epsilon": (int, float), "tol": (int, float), "max_iter": int,
              "cost": dict, "rescale_median": bool, "lambda": (int, float),
              "beta": int, "regularizer": str, "rho": (int, float),
              "indices": list, "values": list, "operator": (str, dict),
-             "accel": bool, "tau": (int, float), "steps": int, "seed": int},
+             "accel": bool, "tau": (int, float), "steps": int},
     "semidiscrete": {"epsilon": (int, float), "tol": (int, float),
                      "max_iter": int, "step": (int, float), "source": dict,
                      "seed": int},

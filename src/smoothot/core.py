@@ -126,14 +126,19 @@ class CostMatrix:
         z = np.atleast_2d(np.asarray(points, dtype=float))
         if z.shape[0] == 1 and z.shape[1] > 1:
             z = z.T  # a flat vector is a list of 1-D points
-        diff = z[:, None, :] - z[None, :, :]
-        m = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(m, 0.0)
-        return cls(np.maximum(m, 0.0), points=z)
+        return cls(squared_euclidean(z, z), points=z)
 
     @property
     def shape(self):
         return self.entries.shape
+
+
+def squared_euclidean(x, y) -> np.ndarray:
+    """Pairwise squared distances between rows of x (k,d) and y (m,d)."""
+    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    ya = np.atleast_2d(np.asarray(y, dtype=float))
+    diff = xa[:, None, :] - ya[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def grid_points_1d(n: int, lo: float, hi: float) -> np.ndarray:

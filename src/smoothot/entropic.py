@@ -35,7 +35,8 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
 
     At eps = 0 the log term vanishes by convention and the transform is the
     plain column minimum.  Coordinates with b_j = 0 and eps > 0 come back as
-    -inf sentinels; callers must treat those points as inactive.
+    -inf sentinels; callers must treat those points as inactive.  The row
+    transform of g against a is ctransform_of_f(g, a, C.T, eps).
     """
     fv = np.asarray(f, dtype=float)
     bw = np.asarray(b.weights if hasattr(b, "weights") else b, dtype=float)
@@ -47,20 +48,6 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
         return s.min(axis=0)
     with np.errstate(divide="ignore"):
         return epsilon * np.log(bw) - epsilon * logsumexp(-s / epsilon, axis=0)
-
-
-def ctransform_of_g(g, a, cost, epsilon: float) -> np.ndarray:
-    """Mirror transform of g along the rows: eps*log(a_i) + softmin_eps(C[i, :] - g)."""
-    gv = np.asarray(g, dtype=float)
-    aw = np.asarray(a.weights if hasattr(a, "weights") else a, dtype=float)
-    c = as_cost(cost)
-    if gv.size != c.shape[1] or aw.size != c.shape[0]:
-        raise ValueError("shape mismatch between g, a and the cost")
-    s = c - gv[None, :]
-    if epsilon == 0:
-        return s.min(axis=1)
-    with np.errstate(divide="ignore"):
-        return epsilon * np.log(aw) - epsilon * logsumexp(-s / epsilon, axis=1)
 
 
 def log_coupling(f, g, cost, epsilon: float) -> np.ndarray:
@@ -178,7 +165,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         )
 
     if stripped:
-        # zero-mass bins get the transform value sans the vanishing log term
+        # zero-mass bins get the transform with unit weights, whose log term is 0
         f_full = np.empty(aw.size)
         g_full = np.empty(bw.size)
         f_full[rows] = f
@@ -186,11 +173,11 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         off_rows = np.setdiff1d(np.arange(aw.size), rows)
         off_cols = np.setdiff1d(np.arange(bw.size), cols)
         if off_rows.size:
-            s = c[np.ix_(off_rows, cols)] - g[None, :]
-            f_full[off_rows] = -epsilon * logsumexp(-s / epsilon, axis=1)
+            f_full[off_rows] = ctransform_of_f(
+                g, np.ones(off_rows.size), c[np.ix_(off_rows, cols)].T, epsilon)
         if off_cols.size:
-            s = c[np.ix_(rows, off_cols)] - f[:, None]
-            g_full[off_cols] = -epsilon * logsumexp(-s / epsilon, axis=0)
+            g_full[off_cols] = ctransform_of_f(
+                f, np.ones(off_cols.size), c[np.ix_(rows, off_cols)], epsilon)
         plan = np.zeros_like(c)
         plan[np.ix_(rows, cols)] = np.exp(lc + (f[:, None] + g[None, :]) / epsilon)
         f, g = f_full, g_full

@@ -3,7 +3,9 @@
 `semidual_conjugate` is the conjugate of a -> W_eps(a, b) for a fixed second
 histogram (value, simplex-valued gradient, Hessian with 1/eps spectral bound).
 `joint_conjugate` treats both marginals as free and exposes the 2/eps-smooth
-joint transform.  All evaluations run in the log domain.
+joint transform.  All evaluations run in the log domain, and the scalar and
+batched semidual share one implementation, switched only by the cost's
+structure (dense or separable grid).
 """
 
 from __future__ import annotations
@@ -13,14 +15,49 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridCost2D, as_cost, entropy, grid_kernel_apply, logsumexp
+from .core import GridCost2D, as_cost, grid_kernel_apply, logsumexp
 
 
-def _grid_log_ktu_and_grad(fv, log_b, cost: GridCost2D, epsilon):
-    log_ktu = grid_kernel_apply(fv / epsilon, cost, epsilon)
-    log_v = log_b.reshape(cost.grid_shape) - log_ktu
-    log_grad = fv / epsilon + grid_kernel_apply(log_v, cost, epsilon).ravel()
-    return log_ktu.ravel(), log_grad
+def _log_kernels(cost, entries, epsilon):
+    """Log-domain applications of K^T and of K, K = exp(-C/eps), to stacks.
+
+    Each returned function maps an (N, n) or (N, m) stack X to the stack whose
+    row k is log K^T exp(X[k]) or log K exp(X[k]).  The cost's structure is
+    the only switch: a separable grid cost runs `grid_kernel_apply` per row
+    (its kernel is symmetric, so both directions are one apply), and a dense
+    cost, given by its validated `entries`, runs one broadcast log-sum-exp.
+    """
+    if isinstance(cost, GridCost2D):
+        def apply(X):
+            return np.array([grid_kernel_apply(x, cost, epsilon).ravel() for x in X])
+        return apply, apply
+    logk = -entries / epsilon
+    return (lambda X: logsumexp(logk[None, :, :] + X[:, :, None], axis=1),
+            lambda X: logsumexp(logk[None, :, :] + X[:, None, :], axis=2))
+
+
+def _semidual(F, B, cost, epsilon):
+    """Columnwise semidual transform of F (n, N) against histograms B (m, N).
+
+    With u = e^{f/eps} per column, returns the values (N,), log K^T u (N, m)
+    and the log-gradients log(u o K v), v = b/(K^T u), as (N, n) stacks.
+    """
+    if not epsilon > 0:
+        raise ValueError("the semidual transform requires epsilon > 0")
+    c = as_cost(cost)
+    if F.ndim != 2 or B.ndim != 2 or F.shape[1] != B.shape[1]:
+        raise ValueError("F and B must be matrices with one column per histogram")
+    if (F.shape[0], B.shape[0]) != c.shape:
+        raise ValueError("shape mismatch between F, B and the cost")
+    if (B <= 0).any():
+        raise ValueError("the semidual transform requires strictly positive histograms")
+    apply_kt, apply_k = _log_kernels(cost, c, epsilon)
+    X = F.T / epsilon
+    bt = B.T
+    log_bt = np.log(bt)
+    log_ktu = apply_kt(X)
+    values = epsilon * (-(bt * log_bt).sum(axis=1) + 1.0 + (bt * log_ktu).sum(axis=1))
+    return values, log_ktu, X + apply_k(log_bt - log_ktu)
 
 
 @dataclass(frozen=True)
@@ -59,87 +96,34 @@ def semidual_conjugate(f, b, cost, epsilon: float,
                        want_hessian: bool = False) -> SemidualEval:
     """Conjugate of the transport cost in its first marginal.
 
-    Value eps*(H(b) + <b, log K^T u>) with u = e^{f/eps}; gradient
+    Value eps*(1 - <b, log b> + <b, log K^T u>) with u = e^{f/eps}; gradient
     u o (K v) with v = b/(K^T u), always a probability vector; Hessian
     (1/eps)(diag(grad) - P diag(b)^{-1} P^T), materialized only on demand.
     """
-    if not epsilon > 0:
-        raise ValueError("semidual_conjugate requires epsilon > 0")
     fv = np.asarray(f, dtype=float)
     bw = np.asarray(b.weights if hasattr(b, "weights") else b, dtype=float)
-    c = as_cost(cost)
-    if fv.size != c.shape[0] or bw.size != c.shape[1]:
-        raise ValueError("shape mismatch between f, b and the cost")
-    if np.any(bw <= 0):
-        raise ValueError("semidual_conjugate requires a strictly positive b")
-
-    if isinstance(cost, GridCost2D) and not want_hessian:
-        log_ktu, log_grad = _grid_log_ktu_and_grad(fv, np.log(bw), cost, epsilon)
-        value = epsilon * (entropy(bw) + float(np.dot(bw, log_ktu)))
-        return SemidualEval(value=value, gradient=np.exp(log_grad), hessian=None)
-
-    logk = -c / epsilon
-    # log K^T u, then log v = log b - log K^T u
-    log_ktu = logsumexp(logk + fv[:, None] / epsilon, axis=0)
-    log_v = np.log(bw) - log_ktu
-    value = epsilon * (entropy(bw) + float(np.dot(bw, log_ktu)))
-    log_grad = fv / epsilon + logsumexp(logk + log_v[None, :], axis=1)
-    gradient = np.exp(log_grad)
+    values, log_ktu, log_grad = _semidual(fv[:, None], bw[:, None], cost, epsilon)
+    gradient = np.exp(log_grad[0])
 
     hessian = None
     if want_hessian:
-        plan = np.exp(fv[:, None] / epsilon + logk + log_v[None, :])
+        log_v = np.log(bw) - log_ktu[0]
+        plan = np.exp(fv[:, None] / epsilon - as_cost(cost) / epsilon + log_v[None, :])
         hessian = (np.diag(gradient) - plan @ (plan / bw[None, :]).T) / epsilon
         hessian = 0.5 * (hessian + hessian.T)
-    return SemidualEval(value=value, gradient=gradient, hessian=hessian)
+    return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)
 
 
 def semidual_conjugate_batch(F, B, cost, epsilon: float):
     """Columnwise semidual transform: values (N,) and gradient matrix (n, N).
 
-    Column k matches semidual_conjugate(F[:, k], B[:, k]) exactly: both expose
-    the value convention of the scalar path, which carries a +eps offset over
-    the raw vectorized formula -eps * 1^T (B o log(B/(K^T A))).
+    F is (n, N) and B is (m, N) for an n x m cost; column k is exactly
+    semidual_conjugate(F[:, k], B[:, k]).  The value uses +1 where the closed
+    form has sum(b); the two are equal for b on the simplex, which every
+    caller passes.
     """
-    if not epsilon > 0:
-        raise ValueError("semidual_conjugate_batch requires epsilon > 0")
-    fm = np.asarray(F, dtype=float)
-    bm = np.asarray(B, dtype=float)
-    if fm.ndim != 2 or bm.shape != fm.shape:
-        raise ValueError("F and B must be matrices of identical shape")
-    c = as_cost(cost)
-    if fm.shape[0] != c.shape[0]:
-        raise ValueError("row count of F must match the cost")
-    if np.any(bm <= 0):
-        raise ValueError("batch columns must be strictly positive histograms")
-
-    if isinstance(cost, GridCost2D):
-        values = np.empty(fm.shape[1])
-        grads = np.empty_like(fm)
-        log_b = np.log(bm)
-        for k in range(fm.shape[1]):
-            log_ktu, log_grad = _grid_log_ktu_and_grad(
-                fm[:, k], log_b[:, k], cost, epsilon
-            )
-            values[k] = epsilon * (
-                -float(np.dot(bm[:, k], log_b[:, k])) + 1.0
-                + float(np.dot(bm[:, k], log_ktu))
-            )
-            grads[:, k] = np.exp(log_grad)
-        return values, grads
-
-    # (N, n, m) broadcast: one logsumexp pass per axis
-    logk = -c / epsilon
-    t = logk[None, :, :] + fm.T[:, :, None] / epsilon
-    log_ktu = logsumexp(t, axis=1)                       # (N, m)
-    log_v = np.log(bm.T) - log_ktu                       # (N, m)
-    values = epsilon * (
-        -np.sum(bm.T * np.log(bm.T), axis=1)
-        + 1.0
-        + np.sum(bm.T * log_ktu, axis=1)
-    )
-    log_grad = fm.T / epsilon + logsumexp(
-        logk[None, :, :] + log_v[:, None, :], axis=2
+    values, _, log_grad = _semidual(
+        np.asarray(F, dtype=float), np.asarray(B, dtype=float), cost, epsilon
     )
     return values, np.exp(log_grad).T
 

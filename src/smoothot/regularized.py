@@ -380,11 +380,6 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         g_new = reg.prox_conjugate(g, tau_step)
         return np.concatenate([fhead.ravel(), np.asarray(g_new, float).ravel()])
 
-    def objective_at(xv):
-        fval, grad, delta_last = smooth_eval(xv)
-        _, g = unpack(xv)
-        return fval + reg.conjugate(g), grad, delta_last
-
     objectives = []
     converged = False
     residual = np.inf

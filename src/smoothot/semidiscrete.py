@@ -13,15 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import IterationLimitError, SIMPLEX_ATOL, softmin
-
-
-def squared_euclidean(x, y) -> np.ndarray:
-    """Pairwise squared distances between rows of x (k,d) and y (m,d)."""
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    ya = np.atleast_2d(np.asarray(y, dtype=float))
-    diff = xa[:, None, :] - ya[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+from .core import IterationLimitError, SIMPLEX_ATOL, softmin, squared_euclidean
 
 
 @dataclass(frozen=True)

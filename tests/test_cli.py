@@ -185,13 +185,14 @@ class TestBarycenterCommand:
 
     def test_config_validation_enumerates_offenders(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": "small", "bogus": 1, "tol": 1e-7}))
+        cfg.write_text(json.dumps({"epsilon": "small", "bogus": 1, "tol": 1e-7,
+                                   "seed": 1}))
         b = write_vec(tmp_path / "b.txt", [0.5, 0.5])
         code = run(["barycenter", "--config", cfg, "--inputs", b,
                     "--out-csv", tmp_path / "o.csv"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "bogus" in err and "epsilon" in err
+        assert "bogus" in err and "epsilon" in err and "seed" in err
 
 
 class TestRegularizedAndFlowCommands:

@@ -85,13 +85,25 @@ class TestSemidualConjugate:
 class TestSemidualBatch:
     def test_batch_of_one_matches_scalar(self):
         rng = np.random.default_rng(25)
-        f = rng.normal(size=6)
-        b = random_histogram(rng, 6)
-        c = rng.uniform(size=(6, 6))
-        values, grads = semidual_conjugate_batch(f[:, None], b[:, None], c, 0.3)
-        scalar = semidual_conjugate(f, b, c, 0.3)
-        assert values[0] == pytest.approx(scalar.value, abs=1e-12)
-        assert np.allclose(grads[:, 0], scalar.gradient, atol=1e-12)
+        for c in (rng.uniform(size=(6, 6)), GridCost2D(2, 3)):
+            f = rng.normal(size=6)
+            b = random_histogram(rng, 6)
+            values, grads = semidual_conjugate_batch(f[:, None], b[:, None], c, 0.3)
+            scalar = semidual_conjugate(f, b, c, 0.3)
+            assert values[0] == scalar.value
+            assert np.array_equal(grads[:, 0], scalar.gradient)
+
+    def test_rectangular_cost_columns_match_scalar(self):
+        rng = np.random.default_rng(28)
+        c = rng.uniform(size=(5, 3))
+        F = rng.normal(size=(5, 2))
+        B = np.column_stack([random_histogram(rng, 3) for _ in range(2)])
+        values, grads = semidual_conjugate_batch(F, B, c, 0.4)
+        assert values.shape == (2,) and grads.shape == (5, 2)
+        for k in range(2):
+            scalar = semidual_conjugate(F[:, k], B[:, k], c, 0.4)
+            assert values[k] == scalar.value
+            assert np.array_equal(grads[:, k], scalar.gradient)
 
     def test_identical_columns_give_identical_outputs(self):
         rng = np.random.default_rng(26)
