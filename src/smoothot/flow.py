@@ -3,6 +3,13 @@
 Each step minimizes W_eps(a, a_prev) + tau*J(A a), the N = 1 case of the
 regularized barycenter solver; the step size tau multiplies the regularizer
 strength (indicator regularizers are invariant under that scaling).
+
+The descent records reuse what the flow already knows.  The new iterate is
+the semidual gradient at the step's last potential f_N, so the Sinkhorn for
+W_eps(a_new, a_prev) starts from f_N; the one for W_eps(a_prev, a_prev)
+starts from the symmetric fixed point of `entropic.symmetric_potential` when
+the cost is symmetric, and cold otherwise.  Either value is still certified
+by Sinkhorn's own marginal test.
 """
 
 from __future__ import annotations
@@ -11,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Histogram, as_weights
+from .core import as_cost, as_weights
 from .barycenter import BarycenterProblem
-from .entropic import sinkhorn
+from .entropic import sinkhorn, symmetric_potential
 from .regularized import (
     LinearOperator,
     Regularizer,
@@ -61,7 +68,13 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
 
     When record_descent is set, each record stores the JKO objective
     W_eps(a, a_prev) + tau_flow*J(A a) at both the new iterate and at the
-    previous one, so the per-step argmin descent inequality can be checked.
+    previous one, so the per-step argmin descent inequality can be checked,
+    and the sweeps of the two Sinkhorn solves behind them.  The Sinkhorn for
+    the new iterate starts from the step's last semidual potential f_N, whose
+    gradient is the new iterate; the one for the previous iterate starts from
+    its symmetric fixed point on a symmetric cost (every GridCost2D, or a
+    matrix equal to its transpose) and cold otherwise.  Both stop on
+    Sinkhorn's l1 marginal test with tol=sinkhorn_tol.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -71,6 +84,9 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     else:
         reg_step = reg.scaled(tau_flow)
         energy = lambda z: reg_step.value(z)
+    if record_descent:
+        c = as_cost(cost)
+        symmetric = np.array_equal(c, c.T)
     iterates = []
     records = []
     state = None
@@ -80,12 +96,16 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
                           full_output=True, **solver_kw)
         nxt = result.barycenter.weights
         if record_descent:
-            w_new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol).value
-            w_prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol).value
+            new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol,
+                           f0=result.f_last)
+            f_self = (symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
+                      if symmetric else None)
+            prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
             records.append({
-                "objective_new": w_new + energy(op.forward(nxt)),
-                "objective_prev": w_prev + energy(op.forward(current)),
+                "objective_new": new.value + energy(op.forward(nxt)),
+                "objective_prev": prev.value + energy(op.forward(current)),
                 "solver_iterations": result.iterations,
+                "record_sweeps": [new.iterations, prev.iterations],
             })
         iterates.append(result.barycenter)
         state = result.state

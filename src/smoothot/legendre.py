@@ -36,11 +36,13 @@ def _log_kernels(cost, entries, epsilon):
             lambda X: logsumexp(logk[None, :, :] + X[:, None, :], axis=2))
 
 
-def _semidual(F, B, cost, epsilon):
+def _semidual(F, B, cost, epsilon, value_only=False):
     """Columnwise semidual transform of F (n, N) against histograms B (m, N).
 
     With u = e^{f/eps} per column, returns the values (N,), log K^T u (N, m)
     and the log-gradients log(u o K v), v = b/(K^T u), as (N, n) stacks.
+    value_only=True skips the K apply and returns None for the log-gradients;
+    the values are the same arithmetic either way.
     """
     if not epsilon > 0:
         raise ValueError("the semidual transform requires epsilon > 0")
@@ -57,6 +59,8 @@ def _semidual(F, B, cost, epsilon):
     log_bt = np.log(bt)
     log_ktu = apply_kt(X)
     values = epsilon * (-(bt * log_bt).sum(axis=1) + 1.0 + (bt * log_ktu).sum(axis=1))
+    if value_only:
+        return values, log_ktu, None
     return values, log_ktu, X + apply_k(log_bt - log_ktu)
 
 
@@ -114,18 +118,20 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)
 
 
-def semidual_conjugate_batch(F, B, cost, epsilon: float):
+def semidual_conjugate_batch(F, B, cost, epsilon: float, *, _value_only=False):
     """Columnwise semidual transform: values (N,) and gradient matrix (n, N).
 
     F is (n, N) and B is (m, N) for an n x m cost; column k is exactly
     semidual_conjugate(F[:, k], B[:, k]).  The value uses +1 where the closed
     form has sum(b); the two are equal for b on the simplex, which every
-    caller passes.
+    caller passes.  The private _value_only flag, for line-search trials,
+    skips the gradient's kernel apply and returns None in its place.
     """
     values, _, log_grad = _semidual(
-        np.asarray(F, dtype=float), np.asarray(B, dtype=float), cost, epsilon
+        np.asarray(F, dtype=float), np.asarray(B, dtype=float), cost, epsilon,
+        value_only=_value_only,
     )
-    return values, np.exp(log_grad).T
+    return values, None if log_grad is None else np.exp(log_grad).T
 
 
 def joint_conjugate(f, g, cost, epsilon: float,

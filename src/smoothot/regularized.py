@@ -282,6 +282,7 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
 class RegularizedResult:
     barycenter: Histogram
     state: tuple            # (F_head, g) final dual variables
+    f_last: np.ndarray      # f_N of state; barycenter = normalized grad H*_{b_N}(f_N)
     objectives: list
     iterations: int
     converged: bool
@@ -349,12 +350,14 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
             pulled = pulled + fhead @ lam[:-1]
         return -pulled / lam_n
 
-    def smooth_eval(x):
+    def potentials(x):
         fhead, g = unpack(x)
         f_last = reconstruct_last(fhead, g)
-        fmat = np.column_stack([fhead, f_last]) if num > 1 else f_last[:, None]
+        return np.column_stack([fhead, f_last]) if num > 1 else f_last[:, None]
+
+    def smooth_eval(x):
         values, deltas = semidual_conjugate_batch(
-            fmat, problem.histograms, problem.cost, problem.epsilon
+            potentials(x), problem.histograms, problem.cost, problem.epsilon
         )
         fval = float(np.dot(lam, values))
         delta_last = deltas[:, -1]
@@ -364,7 +367,11 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         return fval, grad, delta_last
 
     def smooth_value(x):
-        return smooth_eval(x)[0]
+        values, _ = semidual_conjugate_batch(
+            potentials(x), problem.histograms, problem.cost, problem.epsilon,
+            _value_only=True,
+        )
+        return float(np.dot(lam, values))
 
     if x0 is None:
         x = np.zeros(head_size + g_size)
@@ -454,7 +461,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     _, _, delta_last = smooth_eval(x)
     result = RegularizedResult(
         barycenter=Histogram(delta_last, normalize=True),
-        state=unpack(x), objectives=objectives,
+        state=unpack(x), f_last=potentials(x)[:, -1], objectives=objectives,
         iterations=iterations, converged=converged, step=step,
     )
     if not converged:

@@ -248,12 +248,16 @@ class TestRegularizedAndFlowCommands:
         flow_cfg.write_text(json.dumps({**base, "lambda": 0.5, "tau": 0.1,
                                         "steps": 1}))
         out_f = tmp_path / "flow.csv"
+        summary = tmp_path / "flow_summary.json"
         assert run(["flow", "--config", flow_cfg, "--initial", f1,
-                    "--out-csv", out_f]) == 0
+                    "--out-csv", out_f, "--summary", summary]) == 0
         flow_traj = fileio.read_matrix(out_f)
         reg = fileio.read_vector(out_r)
         assert flow_traj.shape == (1, 9)
         assert np.array_equal(flow_traj[0], reg)
+        # both descent-record Sinkhorns start warm and certify within a sweep
+        sweeps = json.loads(summary.read_text())["records"][0]["record_sweeps"]
+        assert len(sweeps) == 2 and max(sweeps) <= 2
 
     def test_pgm_pipeline(self, tmp_path):
         rng = np.random.default_rng(120)

@@ -8,6 +8,7 @@ from smoothot.entropic import (
     dual_value,
     primal_value,
     sinkhorn,
+    symmetric_potential,
     transport_cost,
 )
 from smoothot.lp_oracle import exact_ot
@@ -179,6 +180,41 @@ class TestSinkhorn:
             sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=2)
         assert info.value.residual > 0
         assert info.value.iterations == 2
+
+
+class TestSymmetricPotential:
+    def test_warm_start_value_equals_cold_solve(self):
+        rng = np.random.default_rng(15)
+        gc = GridCost2D(6, 6)
+        a = random_histogram(rng, 36, floor=1e-3)
+        eps = 1.0 / 36
+        f = symmetric_potential(a, gc, eps)
+        warm = sinkhorn(a, a, gc, eps, f0=f)
+        cold = sinkhorn(a, a, gc, eps)
+        assert warm.iterations == 1 < cold.iterations
+        assert abs(warm.value - cold.value) <= 1e-12
+
+    def test_grid_and_dense_costs_agree(self):
+        rng = np.random.default_rng(16)
+        gc = GridCost2D(6, 6)
+        a = random_histogram(rng, 36, floor=1e-3)
+        values = [sinkhorn(a, a, c, 0.05, f0=symmetric_potential(a, c, 0.05)).value
+                  for c in (gc, gc.entries)]
+        assert abs(values[0] - values[1]) <= 1e-12
+
+    def test_iteration_limit_carries_best(self):
+        a = random_histogram(np.random.default_rng(17), 16, floor=1e-3)
+        with pytest.raises(IterationLimitError) as info:
+            symmetric_potential(a, GridCost2D(4, 4), 0.05, max_iter=1)
+        assert info.value.best.shape == (16,)
+        assert np.all(np.isfinite(info.value.best))
+        assert info.value.residual > 0
+        assert info.value.iterations == 1
+
+    def test_rejects_non_symmetric_cost(self):
+        c = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError):
+            symmetric_potential([0.5, 0.5], c, 0.1)
 
 
 class TestPrimalValue:

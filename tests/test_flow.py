@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from smoothot.core import CostMatrix
+from smoothot.core import CostMatrix, GridCost2D, grid_points_2d
+from smoothot.entropic import sinkhorn
 from smoothot.flow import FlowResult, jko_step, run_flow
-from smoothot.regularized import graph_gradient, make_regularizer
+from smoothot.regularized import graph_gradient, grid_gradient, make_regularizer
 
 
 def chain_setup(n):
@@ -108,6 +109,37 @@ class TestRunFlow:
         tvs = [reg.value(op.forward(a0))]
         tvs += [reg.value(op.forward(it.weights)) for it in flow.iterates]
         assert all(tvs[k + 1] <= tvs[k] + 1e-10 for k in range(10))
+
+    @pytest.mark.parametrize("case", ["grid", "chain", "asymmetric"])
+    def test_records_equal_cold_sinkhorn(self, case):
+        # steps 2 and 3 start from the previous step's dual state (x0)
+        if case == "grid":
+            h = w = 8
+            pts = grid_points_2d(h, w)
+            v = np.exp(-((pts - 0.35) ** 2).sum(axis=1) / 0.02) + 1e-3
+            cost, op, a0 = GridCost2D(h, w), grid_gradient((h, w)), v / v.sum()
+        else:
+            n = 24
+            cost, op = chain_setup(n)
+            a0 = two_cluster_1d(n)
+            if case == "asymmetric":  # no symmetric warm start: a cold solve
+                cost = cost + 0.01 * np.triu(np.ones((n, n)), 1)
+        eps = 1.0 / a0.size
+        reg = make_regularizer("tv_iso" if case == "grid" else "tv_aniso", lam=0.5)
+        flow = run_flow(a0, 3, cost, eps, 0.1, op, reg, tol=1e-9, obj_tol=1e-11,
+                        max_iter=40000, sinkhorn_tol=1e-10)
+        energy = reg.scaled(0.1).value
+        prev = a0
+        for it, record in zip(flow.iterates, flow.records):
+            new = it.weights
+            cold_new = sinkhorn(new, prev, cost, eps, tol=1e-10).value
+            cold_prev = sinkhorn(prev, prev, cost, eps, tol=1e-10).value
+            assert abs(record["objective_new"] - cold_new - energy(op.forward(new))) <= 1e-12
+            assert abs(record["objective_prev"] - cold_prev - energy(op.forward(prev))) <= 1e-12
+            sweeps_new, sweeps_prev = record["record_sweeps"]
+            assert sweeps_new <= 2
+            assert sweeps_prev <= 2 or case == "asymmetric"
+            prev = new
 
     def test_requires_at_least_one_step(self):
         n = 8

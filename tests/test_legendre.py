@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smoothot import legendre
 from smoothot.core import GridCost2D
 from smoothot.entropic import ctransform_of_f, sinkhorn
 from smoothot.legendre import (
@@ -126,6 +127,30 @@ class TestSemidualBatch:
         with pytest.raises(ValueError):
             semidual_conjugate_batch(np.zeros((3, 2)), np.ones((4, 2)) / 4, np.zeros((3, 3)), 0.5)
 
+    def test_value_only_matches_full_path(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        applies = []
+        kernel = legendre.grid_kernel_apply
+
+        def counted(*args, **kwargs):
+            applies.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(legendre, "grid_kernel_apply", counted)
+        for c in (rng.uniform(size=(6, 6)), GridCost2D(2, 3)):
+            for num in (1, 2):
+                F = rng.normal(size=(6, num))
+                B = np.column_stack([random_histogram(rng, 6) for _ in range(num)])
+                applies.clear()
+                full, _ = semidual_conjugate_batch(F, B, c, 0.3)
+                full_applies = len(applies)
+                applies.clear()
+                values, grads = semidual_conjugate_batch(F, B, c, 0.3, _value_only=True)
+                assert np.array_equal(values, full)
+                assert grads is None
+                if isinstance(c, GridCost2D):  # K^T u per column, no K apply
+                    assert (full_applies, len(applies)) == (2 * num, num)
+
 
 class TestJointConjugate:
     def test_single_cell(self):
@@ -211,6 +236,18 @@ class TestDualityRelations:
             a_other = random_histogram(rng, n)
             w_other = sinkhorn(a_other, b, c, 0.4, tol=tol).value
             assert float(np.dot(f, a_other)) <= w_other + ev.value + 1e-8
+
+    def test_fenchel_young_closed_form_matches_sinkhorn(self):
+        # W_eps(grad H*_b(f), b) = <f, grad H*_b(f)> - H*_b(f), in closed form
+        rng = np.random.default_rng(36)
+        for n, m in ((5, 5), (6, 4)):
+            f = rng.normal(scale=0.3, size=n)
+            b = random_histogram(rng, m, floor=1e-3)
+            c = rng.uniform(size=(n, m))
+            ev = semidual_conjugate(f, b, c, 0.4)
+            closed = float(np.dot(f, ev.gradient)) - ev.value
+            w = sinkhorn(ev.gradient, b, c, 0.4, tol=1e-13).value
+            assert abs(closed - w) <= 1e-12
 
     def test_joint_maximized_over_g_reproduces_semidual(self):
         # max_g [<f,a> + <g,b> - W*(f,g)] equals the semi-dual value
