@@ -199,16 +199,18 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     )
 
 
-def symmetric_potential(a, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def symmetric_potential(a, cost, epsilon: float, *,
+                        tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Symmetric potential of W_eps(a, a): f = g for a symmetric cost.
 
     Averaged fixed point f <- (f + T_a(f))/2 with T_a the soft c-transform
     against a, one kernel apply per iteration (Feydy et al., AISTATS 2019).
     Stops when the plan diag(e^{f/eps}) K diag(e^{f/eps}) has l1 marginal
     residual <= tol, the test sinkhorn applies to each marginal, so
-    sinkhorn(a, a, cost, epsilon, f0=f) certifies it within a sweep.  Raises
-    IterationLimitError carrying the last iterate after max_iter applies.
+    sinkhorn(a, a, cost, epsilon, f0=f) certifies it within a sweep.  Returns
+    None when the cost is not symmetric (a GridCost2D always is; a matrix is
+    when it equals its transpose).  Raises IterationLimitError carrying the
+    last iterate after DEFAULT_MAX_ITER applies.
     """
     if not epsilon > 0:
         raise ValueError("symmetric_potential requires epsilon > 0")
@@ -218,13 +220,14 @@ def symmetric_potential(a, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     c = as_cost(cost)
     if c.shape != (aw.size, aw.size):
         raise ValueError("cost shape does not match the histogram")
-    if isinstance(cost, GridCost2D):  # symmetric by construction
+    if isinstance(cost, GridCost2D):
         apply = lambda x: grid_kernel_apply(x, cost, epsilon).ravel()
     elif np.array_equal(c, c.T):
         lc = -c / epsilon
         apply = lambda x: logsumexp(lc + x[None, :], axis=1)
     else:
-        raise ValueError("symmetric_potential requires a symmetric cost")
+        return None
+    max_iter = DEFAULT_MAX_ITER
     la = np.log(aw)
     f = np.zeros(aw.size)
     residual = np.inf

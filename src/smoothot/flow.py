@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_cost, as_weights
+from .core import as_weights
 from .barycenter import BarycenterProblem
 from .entropic import sinkhorn, symmetric_potential
 from .regularized import (
@@ -84,9 +84,6 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     else:
         reg_step = reg.scaled(tau_flow)
         energy = lambda z: reg_step.value(z)
-    if record_descent:
-        c = as_cost(cost)
-        symmetric = np.array_equal(c, c.T)
     iterates = []
     records = []
     state = None
@@ -98,8 +95,7 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
         if record_descent:
             new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol,
                            f0=result.f_last)
-            f_self = (symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
-                      if symmetric else None)
+            f_self = symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
             prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
             records.append({
                 "objective_new": new.value + energy(op.forward(nxt)),

@@ -461,7 +461,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     _, _, delta_last = smooth_eval(x)
     result = RegularizedResult(
         barycenter=Histogram(delta_last, normalize=True),
-        state=unpack(x), f_last=potentials(x)[:, -1], objectives=objectives,
+        state=unpack(x), f_last=reconstruct_last(*unpack(x)), objectives=objectives,
         iterations=iterations, converged=converged, step=step,
     )
     if not converged:
