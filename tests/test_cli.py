@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothot
 from smoothot import fileio
 from smoothot.cli import main
 
@@ -315,3 +320,18 @@ class TestSemidiscreteCommand:
                         "--out-csv", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    def test_import_leaves_scipy_solvers_unloaded(self):
+        # only `exact_wbp` needs scipy's LP and sparse modules; every CLI call
+        # would otherwise pay their import
+        src = str(Path(smoothot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, smoothot.cli; "
+                 "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') "
+                 "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smoothot import core
 from smoothot.core import (
     Coupling,
     CostMatrix,
@@ -12,6 +13,7 @@ from smoothot.core import (
     Histogram,
     Potentials,
     entropy,
+    grid_kernel_apply,
     grid_points_2d,
     kl_divergence,
     logsumexp,
@@ -211,6 +213,82 @@ class TestGridCost2D:
         gc = GridCost2D(4, 4).median_rescaled()
         assert np.median(gc.entries) == pytest.approx(1.0)
         assert gc.grid_shape == (4, 4)
+
+
+def dense_kernel_apply(x, cost, epsilon):
+    """The reference: one dense log-sum-exp over the materialized grid cost."""
+    return logsumexp(x[None, :] - cost.entries / epsilon, axis=1)
+
+
+def peaked_logvals(h, w, epsilon, centre):
+    """Log of a bump narrow enough that far outputs underflow at small epsilon."""
+    pts = grid_points_2d(h, w)
+    return -10.0 * ((pts - pts[centre]) ** 2).sum(axis=1) / epsilon
+
+
+# The outputs are logs of kernel sums: an absolute error of 1e-12 is a relative
+# error of 1e-12 in the sum, which is what bounds outputs near 0.
+KERNEL_TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+class TestGridKernelApply:
+    @pytest.mark.parametrize("shape", [(5, 7), (16, 16), (32, 32)])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1 / 1024])
+    def test_matches_dense_log_sum_exp(self, shape, epsilon):
+        h, w = shape
+        cost = GridCost2D(h, w)
+        rng = np.random.default_rng(h * w)
+        peak = peaked_logvals(h, w, epsilon, rng.integers(h * w))
+        for x in (rng.normal(scale=3.0, size=h * w), peak):
+            got = grid_kernel_apply(x, cost, epsilon)
+            assert got.shape == (h, w)
+            np.testing.assert_allclose(got.ravel(), dense_kernel_apply(x, cost, epsilon),
+                                       **KERNEL_TOL)
+
+    def test_only_underflowing_sums_take_the_fallback(self, monkeypatch):
+        cost = GridCost2D(32, 32)
+        rng = np.random.default_rng(7)
+        rand = rng.normal(scale=3.0, size=32 * 32)
+        peak = peaked_logvals(32, 32, 1 / 1024, 0)  # centred on a corner pixel
+        refs = [dense_kernel_apply(x, cost, 1 / 1024) for x in (rand, peak)]
+        calls = []
+
+        def counted(a, axis=None):
+            calls.append(np.shape(a))
+            return logsumexp(a, axis=axis)
+
+        monkeypatch.setattr(core, "logsumexp", counted)
+        got = grid_kernel_apply(rand, cost, 1 / 1024)
+        assert calls == []  # no shifted sum underflows
+        np.testing.assert_allclose(got.ravel(), refs[0], **KERNEL_TOL)
+        # exp(-row_sq / eps) underflows for rows more than ~0.85 apart, so the
+        # shifted sums of outputs far from the corner lose every term
+        assert np.exp(-cost.row_sq * 1024).min() == 0.0
+        got = grid_kernel_apply(peak, cost, 1 / 1024)
+        assert len(calls) >= 1
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got.ravel(), refs[1], **KERNEL_TOL)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 1 / 1024])
+    @pytest.mark.parametrize("case", ["row", "column", "one_pixel", "empty"])
+    def test_log_zero_bins(self, case, epsilon):
+        h, w = 5, 7
+        cost = GridCost2D(h, w)
+        x = np.random.default_rng(3).normal(size=(h, w))
+        if case == "row":
+            x[2] = -np.inf
+        elif case == "column":
+            x[:, 3] = -np.inf
+        else:
+            x[:] = -np.inf
+            if case == "one_pixel":
+                x[1, 4] = 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid_kernel_apply(x.ravel(), cost, epsilon).ravel()
+            ref = dense_kernel_apply(x.ravel(), cost, epsilon)
+        assert not np.any(np.isnan(got))
+        np.testing.assert_allclose(got, ref, **KERNEL_TOL)
 
 
 class TestGibbsKernel:
