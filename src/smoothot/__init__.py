@@ -11,7 +11,6 @@ from .core import (
     CostMatrix,
     GridCost2D,
     FeasibilityError,
-    GibbsKernel,
     Histogram,
     IterationLimitError,
     Potentials,
@@ -73,7 +72,6 @@ __all__ = [
     "DiscreteTarget",
     "DualIterate",
     "FeasibilityError",
-    "GibbsKernel",
     "GridCost2D",
     "Histogram",
     "IterationLimitError",

@@ -6,11 +6,15 @@ GEMMs with an exact `logsumexp` fallback for sums that underflow.
 
 Everything here is a pure function of its inputs; the wrapper types freeze
 their arrays after validation, so values can be shared freely across threads.
+Two n^2 arrays are built on first access only: `GridCost2D.entries`, and the
+matrix of a `Coupling.gibbs` plan, which a grid builds from its per-axis
+factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,6 +72,15 @@ def as_cost(c, name: str = "cost") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must have finite entries")
     return m
+
+
+def as_kernel_cost(c, name: str = "cost"):
+    """A GridCost2D as it is, any other cost as `as_cost` validates it.
+
+    Code that applies the Gibbs kernel takes this in place of `as_cost`: a
+    grid cost keeps its per-axis factors, and its entries are never built.
+    """
+    return c if isinstance(c, GridCost2D) else as_cost(c, name)
 
 
 @dataclass(frozen=True)
@@ -175,9 +188,10 @@ class GridCost2D(CostMatrix):
     """Squared-Euclidean cost on a regular h x w grid over the unit square.
 
     Keeps the per-axis squared-distance factors `row_sq` (h x h) and `col_sq`
-    (w x w), so `grid_kernel_apply` runs as one shifted h x h and one w x w
-    GEMM instead of one dense n^2 pass; the entries matrix is still
-    materialized for code that needs it.
+    (w x w): `grid_kernel_apply` runs as one shifted h x h and one w x w GEMM,
+    a Gibbs plan is built from them, and `median_rescaled` counts on them.
+    The dense n^2 `entries` matrix (n = h*w) is built on first access only;
+    `shape`, `repr` and `==` (equal grid shape and scale) never build it.
     """
 
     def __init__(self, h: int, w: int, scale: float = 1.0):
@@ -188,22 +202,94 @@ class GridCost2D(CostMatrix):
         xs = (np.arange(w) + 0.5) / w
         row_sq = scale * (ys[:, None] - ys[None, :]) ** 2
         col_sq = scale * (xs[:, None] - xs[None, :]) ** 2
-        entries = (
-            row_sq[:, None, :, None] + col_sq[None, :, None, :]
-        ).reshape(h * w, h * w)
-        super().__init__(entries, points=pts)
+        object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "grid_shape", (h, w))
         object.__setattr__(self, "scale", float(scale))
         object.__setattr__(self, "row_sq", _frozen(row_sq))
         object.__setattr__(self, "col_sq", _frozen(col_sq))
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """C[(i, j), (k, l)] = row_sq[i, k] + col_sq[j, l], read-only."""
+        h, w = self.grid_shape
+        full = self.row_sq[:, None, :, None] + self.col_sq[None, :, None, :]
+        full.setflags(write=False)
+        return full.reshape(h * w, h * w)
+
+    @property
+    def shape(self):
+        n = self.grid_shape[0] * self.grid_shape[1]
+        return (n, n)
+
+    def __repr__(self) -> str:
+        h, w = self.grid_shape
+        return f"GridCost2D(h={h}, w={w}, scale={self.scale!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, GridCost2D):
+            return NotImplemented
+        return (self.grid_shape, self.scale) == (other.grid_shape, other.scale)
+
+    def median(self) -> float:
+        """np.median of the entries, from the per-axis factors alone.
+
+        The one or two middle order statistics of the sums
+        row_sq[i, k] + col_sq[j, l] come from `_kth_pair_sum`, and two are
+        averaged as np.median averages them.
+        """
+        count = self.shape[0] ** 2
+        med = _kth_pair_sum(self.row_sq, self.col_sq, (count - 1) // 2)
+        if count % 2 == 0:
+            med = (med + _kth_pair_sum(self.row_sq, self.col_sq, count // 2)) / 2
+        return med
+
     def median_rescaled(self) -> "GridCost2D":
         """Grid cost divided by its median, with the structure retained."""
-        med = float(np.median(self.entries))
+        med = self.median()
         if med <= 0:
             raise ValueError("cost median must be positive to rescale")
         h, w = self.grid_shape
         return GridCost2D(h, w, scale=self.scale / med)
+
+
+def _kth_pair_sum(x, y, k: int) -> float:
+    """The k-th smallest (from 0) float sum x_p + y_q over all pairs of entries.
+
+    x and y are nonnegative, so the bit pattern of a threshold t orders like
+    t itself: bisecting on it finds the smallest t with more than k sums
+    fl(x_p + y_q) <= t, which is that sum.  Each count runs on the sorted
+    distinct values of x and y: fl(x + y) is nondecreasing in x, so for each
+    y the x values that count form a prefix, whose end `searchsorted` finds
+    up to rounding and a few exact steps settle.
+    """
+    xs, x_counts = np.unique(x, return_counts=True)
+    ys, y_counts = np.unique(y, return_counts=True)
+    below = np.concatenate(([0], np.cumsum(x_counts)))  # entries of x under xs[p]
+
+    def count_at_most(t):
+        p = np.searchsorted(xs, t - ys, side="right")
+        while True:
+            down = p > 0
+            down[down] = xs[p[down] - 1] + ys[down] > t
+            if not down.any():
+                break
+            p -= down
+        while True:
+            up = p < xs.size
+            up[up] = xs[p[up]] + ys[up] <= t
+            if not up.any():
+                break
+            p += up
+        return int(below[p] @ y_counts)
+
+    lo, hi = 0, int(np.float64(xs[-1] + ys[-1]).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count_at_most(np.int64(mid).view(np.float64)) > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
 
 
 # shifted grid-kernel sums below this are recomputed in the log domain
@@ -243,53 +329,90 @@ def grid_kernel_apply(logvals, cost: GridCost2D, epsilon: float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class GibbsKernel:
-    """K = exp(-C/epsilon) with the log-domain form retained."""
-
-    epsilon: float
-    kernel: np.ndarray
-    logkernel: np.ndarray
-
-    def __init__(self, cost, epsilon: float):
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        c = as_cost(cost)
-        logk = -c / epsilon
-        object.__setattr__(self, "epsilon", float(epsilon))
-        object.__setattr__(self, "logkernel", _frozen(logk))
-        object.__setattr__(self, "kernel", _frozen(np.exp(logk)))
-
-    @property
-    def shape(self):
-        return self.kernel.shape
-
-
-@dataclass(frozen=True)
 class Coupling:
-    """Transport plan with its marginal residuals against the target pair."""
+    """Transport plan with its marginal residuals against the target pair.
 
-    matrix: np.ndarray
-    row_residual: float
-    col_residual: float
+    `Coupling(matrix, a, b)` checks a given plan at once.  `Coupling.gibbs`
+    holds the Gibbs plan exp((f_i + g_j - C_ij)/eps) of a potential pair in
+    factored form (the potentials, the cost and eps); `matrix`, the checks
+    and the residuals are computed on first access of any of them.  Either
+    way the matrix is read-only.
+    """
 
     def __init__(self, matrix, a, b):
-        p = np.asarray(matrix, dtype=float)
+        self._factors = None
+        self._check(np.array(matrix, dtype=float), a, b)
+
+    @classmethod
+    def gibbs(cls, f, g, cost, epsilon: float, a, b) -> "Coupling":
+        """The plan of potentials f, g (cost units) on a GridCost2D or matrix.
+
+        A -inf potential gives a zero row or column.  On a GridCost2D the
+        matrix is built from the per-axis factors, so no cost entries are.
+        """
+        plan = cls.__new__(cls)
+        plan._factors = (np.asarray(f, dtype=float), np.asarray(g, dtype=float),
+                         cost, float(epsilon), a, b)
+        return plan
+
+    def _check(self, p, a, b):
         if p.ndim != 2:
             raise ValueError("coupling must be a matrix")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if p.size and not (p.min() >= 0 and p.max() < np.inf):  # NaN fails both
             raise FeasibilityError("coupling entries must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > MASS_ATOL:
+        row_sums = p.sum(axis=1)
+        mass = row_sums.sum()
+        if abs(mass - 1.0) > MASS_ATOL:
             raise FeasibilityError(
-                f"coupling mass must be 1 within {MASS_ATOL:g} (got {p.sum()!r})"
+                f"coupling mass must be 1 within {MASS_ATOL:g} (got {mass!r})"
             )
         aw = as_weights(a, "first marginal")
         bw = as_weights(b, "second marginal")
         if p.shape != (aw.size, bw.size):
             raise ValueError("coupling shape does not match the marginals")
-        object.__setattr__(self, "matrix", _frozen(p))
-        object.__setattr__(self, "row_residual", float(np.abs(p.sum(axis=1) - aw).sum()))
-        object.__setattr__(self, "col_residual", float(np.abs(p.sum(axis=0) - bw).sum()))
+        p.setflags(write=False)
+        self._matrix = p
+        self._row_residual = float(np.abs(row_sums - aw).sum())
+        self._col_residual = float(np.abs(p.sum(axis=0) - bw).sum())
+
+    def _built(self) -> "Coupling":
+        factors = self._factors
+        if factors is not None:
+            f, g, cost, epsilon, a, b = factors
+            self._check(_gibbs_plan(f, g, cost, epsilon), a, b)
+            self._factors = None
+        return self
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._built()._matrix
+
+    @property
+    def row_residual(self) -> float:
+        return self._built()._row_residual
+
+    @property
+    def col_residual(self) -> float:
+        return self._built()._col_residual
+
+
+def _gibbs_plan(f, g, cost, epsilon: float) -> np.ndarray:
+    """exp((f_i + g_j - C_ij)/eps), built in place in one n x m buffer."""
+    if isinstance(cost, GridCost2D):
+        h, w = cost.grid_shape
+        u = (f / epsilon).reshape(h, w)
+        v = (g / epsilon).reshape(h, w)
+        # exponent[i, j, k, l] = (u[i, j] - row_sq[i, k]/eps) + (v[k, l] - col_sq[j, l]/eps)
+        left = u[:, :, None] - (cost.row_sq / epsilon)[:, None, :]
+        right = v[None, :, :] - (cost.col_sq / epsilon)[:, None, :]
+        plan = np.empty((h, w, h, w))
+        np.add(left[:, :, :, None], right[None, :, :, :], out=plan)
+        plan = plan.reshape(h * w, h * w)
+    else:
+        plan = np.add.outer(f, g)
+        plan /= epsilon
+        plan -= cost / epsilon
+    return np.exp(plan, out=plan)
 
 
 @dataclass(frozen=True)

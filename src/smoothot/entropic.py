@@ -5,8 +5,12 @@ and dual objective values.  Iterations act on the potentials (f, g) directly,
 never on the scaling vectors, so small epsilon does not overflow.  A sweep on
 a dense cost makes 2 log-sum-exp reductions: each c-transform's reduction also
 gives one marginal of the plan, so the residual check costs none of its own.
-On a symmetric cost, `symmetric_potential` finds the self-transport potential
-of W_eps(a, a) by an averaged fixed point, as a warm start for `sinkhorn`.
+A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  The value comes
+from the last sweep's row marginal and the plan is a factored
+`Coupling.gibbs`, so on a grid no n^2 array exists unless the plan's matrix
+is asked for.  On a symmetric cost, `symmetric_potential` finds the
+self-transport potential of W_eps(a, a) by an averaged fixed point, as a warm
+start for `sinkhorn`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .core import (
     IterationLimitError,
     Potentials,
     as_cost,
+    as_kernel_cost,
     as_weights,
     entropy,
     grid_kernel_apply,
@@ -52,18 +57,26 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
         return epsilon * np.log(bw) - epsilon * logsumexp(-s / epsilon, axis=0)
 
 
-def log_coupling(f, g, cost, epsilon: float) -> np.ndarray:
-    """log P = (f + g - C)/eps for the plan implied by a pair of potentials."""
-    c = as_cost(cost)
-    return (np.asarray(f)[:, None] + np.asarray(g)[None, :] - c) / epsilon
-
-
 def dual_value(f, g, a, b, cost, epsilon: float) -> float:
-    """Dual objective <f,a> + <g,b> - eps * sum exp((f + g - C)/eps)."""
+    """Dual objective <f,a> + <g,b> - eps * sum exp((f + g - C)/eps).
+
+    The mass term is sum_i exp(f_i/eps + log(K e^{g/eps})_i), from one
+    log-kernel apply: `grid_kernel_apply` on a GridCost2D, a dense
+    log-sum-exp otherwise.
+    """
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
-    lp = log_coupling(f, g, cost, epsilon)
-    return float(np.dot(f, aw) + np.dot(g, bw) - epsilon * np.exp(logsumexp(lp)))
+    c = as_kernel_cost(cost)
+    if c.shape != (aw.size, bw.size):
+        raise ValueError("cost shape does not match the marginals")
+    fv = np.asarray(f, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    if isinstance(c, GridCost2D):
+        log_kg = grid_kernel_apply(gv / epsilon, c, epsilon).ravel()
+    else:
+        log_kg = logsumexp(-c / epsilon + gv[None, :] / epsilon, axis=1)
+    mass = np.exp(fv / epsilon + log_kg).sum()
+    return float(np.dot(fv, aw) + np.dot(gv, bw) - epsilon * mass)
 
 
 def primal_value(a, b, cost, epsilon: float, coupling) -> float:
@@ -104,14 +117,19 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     ----------
     a, b : histograms (zero-mass bins are stripped and reinserted as zero
         rows/columns of the plan)
-    cost : ground cost matrix
+    cost : ground cost matrix or GridCost2D
     epsilon : regularization strength, > 0
     tol : l1 marginal violation of the implied plan, checked every sweep
     max_iter : sweep budget; exceeding it raises IterationLimitError
     f0 : optional warm start for the first potential
 
-    Returns the potentials (with g = c-transform of f), the implied plan
-    diag(e^{f/eps}) K diag(e^{g/eps}), and the dual objective value.
+    Returns the potentials (with f = c-transform of g), the implied plan
+    diag(e^{f/eps}) K diag(e^{g/eps}) as a factored `Coupling.gibbs`, and the
+    dual objective value <f,a> + <g,b> - eps * sum(P) over the stripped
+    problem, with the plan's mass taken from the last sweep's row marginal.
+    Neither takes a kernel apply of its own.  A GridCost2D without zero bins
+    is solved by `grid_kernel_apply` alone, so its entries are never built;
+    with zero bins it is solved densely over the stripped entries.
     """
     if not epsilon > 0:
         raise ValueError("sinkhorn requires epsilon > 0")
@@ -119,7 +137,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
-    c = as_cost(cost)
+    c = as_kernel_cost(cost)
     if c.shape != (aw.size, bw.size):
         raise ValueError("cost shape does not match the marginals")
 
@@ -127,13 +145,15 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     cols = np.flatnonzero(bw > 0)
     stripped = rows.size < aw.size or cols.size < bw.size
     ar, br = aw[rows], bw[cols]
-    cr = c[np.ix_(rows, cols)] if stripped else c
     # the separable kernel is symmetric, so both transforms share one helper
-    grid = cost if isinstance(cost, GridCost2D) and not stripped else None
+    grid = c if isinstance(c, GridCost2D) and not stripped else None
+    dense = lc = None
+    if grid is None:
+        dense = as_cost(c)
+        lc = -(dense[np.ix_(rows, cols)] if stripped else dense) / epsilon
 
     f = np.zeros(ar.size) if f0 is None else np.asarray(f0, dtype=float)[rows]
     la, lb = np.log(ar), np.log(br)
-    lc = None if grid is not None else -cr / epsilon
     g = np.zeros(br.size)
     if grid is None:
         log_kf = logsumexp(lc + f[:, None] / epsilon, axis=0)
@@ -143,19 +163,18 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         # one full sweep: column transform then row transform, in log domain
         if grid is not None:
             g = epsilon * (lb - grid_kernel_apply(f / epsilon, grid, epsilon).ravel())
-            applied_g = grid_kernel_apply(g / epsilon, grid, epsilon).ravel()
-            f = epsilon * (la - applied_g)
-            applied_f = grid_kernel_apply(f / epsilon, grid, epsilon).ravel()
-            row_res = float(np.abs(np.exp(f / epsilon + applied_g) - ar).sum())
-            col_res = float(np.abs(np.exp(g / epsilon + applied_f) - br).sum())
+            log_kg = grid_kernel_apply(g / epsilon, grid, epsilon).ravel()
+            f = epsilon * (la - log_kg)
+            log_kf = grid_kernel_apply(f / epsilon, grid, epsilon).ravel()
         else:
             # log_kf is both this sweep's column residual and the next g-update
             g = epsilon * (lb - log_kf)
             log_kg = logsumexp(lc + g[None, :] / epsilon, axis=1)
             f = epsilon * (la - log_kg)
             log_kf = logsumexp(lc + f[:, None] / epsilon, axis=0)
-            row_res = float(np.abs(np.exp(f / epsilon + log_kg) - ar).sum())
-            col_res = float(np.abs(np.exp(g / epsilon + log_kf) - br).sum())
+        row = np.exp(f / epsilon + log_kg)  # the plan's row marginal
+        row_res = float(np.abs(row - ar).sum())
+        col_res = float(np.abs(np.exp(g / epsilon + log_kf) - br).sum())
         if row_res <= tol and col_res <= tol:
             break
     else:
@@ -166,32 +185,28 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
             iterations=max_iter,
         )
 
+    value = float(np.dot(f, ar) + np.dot(g, br) - epsilon * row.sum())
+    f_plan, g_plan = f, g
     if stripped:
-        # zero-mass bins get the transform with unit weights, whose log term is 0
-        f_full = np.empty(aw.size)
-        g_full = np.empty(bw.size)
-        f_full[rows] = f
-        g_full[cols] = g
-        off_rows = np.setdiff1d(np.arange(aw.size), rows)
-        off_cols = np.setdiff1d(np.arange(bw.size), cols)
+        # the plan's zero rows/columns are -inf potentials; the returned
+        # potentials take the transform with unit weights there (log term 0)
+        f_plan = np.full(aw.size, -np.inf)
+        g_plan = np.full(bw.size, -np.inf)
+        f_plan[rows] = f
+        g_plan[cols] = g
+        off_rows = np.flatnonzero(aw == 0)
+        off_cols = np.flatnonzero(bw == 0)
+        f_full, g_full = f_plan.copy(), g_plan.copy()
         if off_rows.size:
             f_full[off_rows] = ctransform_of_f(
-                g, np.ones(off_rows.size), c[np.ix_(off_rows, cols)].T, epsilon)
+                g, np.ones(off_rows.size), dense[np.ix_(off_rows, cols)].T, epsilon)
         if off_cols.size:
             g_full[off_cols] = ctransform_of_f(
-                f, np.ones(off_cols.size), c[np.ix_(rows, off_cols)], epsilon)
-        plan = np.zeros_like(c)
-        plan[np.ix_(rows, cols)] = np.exp(lc + (f[:, None] + g[None, :]) / epsilon)
+                f, np.ones(off_cols.size), dense[np.ix_(rows, off_cols)], epsilon)
         f, g = f_full, g_full
-    else:
-        if lc is None:
-            lc = -cr / epsilon  # plan is materialized densely just once
-        plan = np.exp(lc + (f[:, None] + g[None, :]) / epsilon)
-
-    value = dual_value(f, g, aw, bw, c, epsilon)
     return SinkhornResult(
         potentials=Potentials(f, g),
-        coupling=Coupling(plan, aw, bw),
+        coupling=Coupling.gibbs(f_plan, g_plan, c, epsilon, aw, bw),
         value=value,
         iterations=iterations,
         row_residual=row_res,
@@ -217,11 +232,11 @@ def symmetric_potential(a, cost, epsilon: float, *,
     aw = as_weights(a, "a")
     if np.any(aw <= 0):
         raise ValueError("symmetric_potential requires a strictly positive histogram")
-    c = as_cost(cost)
+    c = as_kernel_cost(cost)
     if c.shape != (aw.size, aw.size):
         raise ValueError("cost shape does not match the histogram")
-    if isinstance(cost, GridCost2D):
-        apply = lambda x: grid_kernel_apply(x, cost, epsilon).ravel()
+    if isinstance(c, GridCost2D):
+        apply = lambda x: grid_kernel_apply(x, c, epsilon).ravel()
     elif np.array_equal(c, c.T):
         lc = -c / epsilon
         apply = lambda x: logsumexp(lc + x[None, :], axis=1)

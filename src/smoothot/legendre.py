@@ -15,23 +15,23 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridCost2D, as_cost, grid_kernel_apply, logsumexp
+from .core import GridCost2D, as_cost, as_kernel_cost, grid_kernel_apply, logsumexp
 
 
-def _log_kernels(cost, entries, epsilon):
+def _log_kernels(cost, epsilon):
     """Log-domain applications of K^T and of K, K = exp(-C/eps), to stacks.
 
     Each returned function maps an (N, n) or (N, m) stack X to the stack whose
     row k is log K^T exp(X[k]) or log K exp(X[k]).  The cost's structure is
-    the only switch: a separable grid cost runs `grid_kernel_apply` per row
-    (its kernel is symmetric, so both directions are one apply), and a dense
-    cost, given by its validated `entries`, runs one broadcast log-sum-exp.
+    the only switch: a GridCost2D runs `grid_kernel_apply` per row (its kernel
+    is symmetric, so both directions are one apply), and a dense cost, given
+    as its validated entries, runs one broadcast log-sum-exp.
     """
     if isinstance(cost, GridCost2D):
         def apply(X):
             return np.array([grid_kernel_apply(x, cost, epsilon).ravel() for x in X])
         return apply, apply
-    logk = -entries / epsilon
+    logk = -cost / epsilon
     return (lambda X: logsumexp(logk[None, :, :] + X[:, :, None], axis=1),
             lambda X: logsumexp(logk[None, :, :] + X[:, None, :], axis=2))
 
@@ -46,14 +46,14 @@ def _semidual(F, B, cost, epsilon, value_only=False):
     """
     if not epsilon > 0:
         raise ValueError("the semidual transform requires epsilon > 0")
-    c = as_cost(cost)
+    c = as_kernel_cost(cost)
     if F.ndim != 2 or B.ndim != 2 or F.shape[1] != B.shape[1]:
         raise ValueError("F and B must be matrices with one column per histogram")
     if (F.shape[0], B.shape[0]) != c.shape:
         raise ValueError("shape mismatch between F, B and the cost")
     if (B <= 0).any():
         raise ValueError("the semidual transform requires strictly positive histograms")
-    apply_kt, apply_k = _log_kernels(cost, c, epsilon)
+    apply_kt, apply_k = _log_kernels(c, epsilon)
     X = F.T / epsilon
     bt = B.T
     log_bt = np.log(bt)

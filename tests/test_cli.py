@@ -112,6 +112,19 @@ class TestDistanceCommand:
         plan = fileio.read_matrix(dump)
         assert np.abs(plan - np.outer(a_vals, b_vals)).max() <= 1e-6
 
+    def test_zero_bins_dual_value_equals_primal(self, tmp_path):
+        a = write_vec(tmp_path / "a.txt", [0.3, 0.0, 0.7])
+        b = write_vec(tmp_path / "b.txt", [0.5, 0.5, 0.0, 0.0])
+        c = tmp_path / "c.csv"
+        fileio.write_matrix(c, np.random.default_rng(0).uniform(size=(3, 4)))
+        for eps in ("0.5", "0.05"):
+            out = tmp_path / "o.json"
+            code = run(["distance", "--a", a, "--b", b, "--cost", c,
+                        "--epsilon", eps, "--out", out])
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert abs(payload["dual_value"] - payload["value"]) <= 1e-10
+
     def test_grid_cost_and_rescale(self, tmp_path):
         a = write_vec(tmp_path / "a.txt", [0.25, 0.25, 0.25, 0.25])
         b = write_vec(tmp_path / "b.txt", [0.1, 0.2, 0.3, 0.4])

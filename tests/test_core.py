@@ -8,7 +8,6 @@ from smoothot.core import (
     Coupling,
     CostMatrix,
     FeasibilityError,
-    GibbsKernel,
     GridCost2D,
     Histogram,
     Potentials,
@@ -214,6 +213,24 @@ class TestGridCost2D:
         assert np.median(gc.entries) == pytest.approx(1.0)
         assert gc.grid_shape == (4, 4)
 
+    @pytest.mark.parametrize("h, w", [(2, 3), (4, 4), (7, 5), (24, 24)])
+    def test_median_without_entries(self, h, w):
+        for scale in (1.0, 0.37):
+            gc = GridCost2D(h, w, scale)
+            med = gc.median()
+            assert "entries" not in vars(gc)
+            ref = np.median(gc.entries)
+            assert abs(med - ref) <= np.spacing(ref)
+
+    def test_entries_built_on_first_access_only(self):
+        gc = GridCost2D(3, 5)
+        assert gc.shape == (15, 15)
+        assert repr(gc) == "GridCost2D(h=3, w=5, scale=1.0)"
+        assert gc == GridCost2D(3, 5) and gc != GridCost2D(3, 5, 2.0)
+        assert "entries" not in vars(gc)
+        assert gc.entries is gc.entries
+        assert not gc.entries.flags.writeable
+
 
 def dense_kernel_apply(x, cost, epsilon):
     """The reference: one dense log-sum-exp over the materialized grid cost."""
@@ -291,18 +308,31 @@ class TestGridKernelApply:
         np.testing.assert_allclose(got, ref, **KERNEL_TOL)
 
 
-class TestGibbsKernel:
-    def test_entries_in_unit_interval(self):
-        k = GibbsKernel([[0.0, 1.0], [2.0, 0.5]], 0.7)
-        assert np.all(k.kernel > 0) and np.all(k.kernel <= 1.0)
-        assert np.allclose(np.log(k.kernel), k.logkernel)
-
-    def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            GibbsKernel([[1.0]], 0.0)
-
-
 class TestCoupling:
+    def test_gibbs_plan_built_on_first_access(self):
+        rng = np.random.default_rng(3)
+        eps = 0.1
+        for cost in (GridCost2D(3, 4), CostMatrix(rng.uniform(size=(12, 12)))):
+            f = rng.normal(size=12)
+            g = rng.normal(size=12)
+            f[5] = -np.inf  # a zero row
+            dense = np.exp((f[:, None] + g[None, :] - cost.entries) / eps)
+            g -= eps * np.log(dense.sum())  # unit mass
+            plan = np.exp((f[:, None] + g[None, :] - cost.entries) / eps)
+            a, b = plan.sum(axis=1), plan.sum(axis=0)
+            a, b = a / a.sum(), b / b.sum()
+            c = Coupling.gibbs(f, g, cost if isinstance(cost, GridCost2D) else cost.entries,
+                               eps, a, b)
+            np.testing.assert_allclose(c.matrix, plan, rtol=1e-12, atol=0)
+            assert np.all(c.matrix[5] == 0.0) and not c.matrix.flags.writeable
+            assert c.row_residual <= 1e-12 and c.col_residual <= 1e-12
+
+    def test_gibbs_checks_run_on_first_access(self):
+        heavy = Coupling.gibbs(np.zeros(2), np.zeros(2), np.zeros((2, 2)), 1.0,
+                               [0.5, 0.5], [0.5, 0.5])  # mass 4
+        with pytest.raises(FeasibilityError):
+            heavy.matrix
+
     def test_residuals(self):
         p = np.array([[0.5, 0.0], [0.0, 0.5]])
         c = Coupling(p, [0.5, 0.5], [0.5, 0.5])

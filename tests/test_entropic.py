@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import smoothot
 
 from smoothot import entropic
 from smoothot.core import FeasibilityError, GridCost2D, IterationLimitError
@@ -64,6 +71,18 @@ class TestCTransforms:
         f2 = ctransform_of_f(g1, a, c.T, 0.0)
         assert np.abs(g1 - g0).max() <= 1e-12
         assert np.abs(f2 - f1).max() <= 1e-12
+
+
+def grid_distance_128():
+    """W_eps between two Gaussian bumps on a 128 x 128 GridCost2D, eps = 0.01."""
+    cost = GridCost2D(128, 128)
+
+    def bump(center):
+        d = np.exp(-((cost.points - center) ** 2).sum(axis=1) / (2 * 0.05 ** 2)) + 1e-3
+        return d / d.sum()
+
+    a, b = bump((0.4, 0.4)), bump((0.6, 0.6))
+    return sinkhorn(a, b, cost, 0.01), cost, a, b
 
 
 class TestSinkhorn:
@@ -135,15 +154,54 @@ class TestSinkhorn:
         assert np.all(res.coupling.matrix[1] == 0.0)
         assert np.all(np.isfinite(res.potentials.f))
 
+    def test_zero_bin_value_is_the_stripped_value(self):
+        # the completed potentials of zero bins carry Gibbs mass of their own,
+        # which a dual value over the full cost would subtract
+        a = np.array([0.3, 0.0, 0.7])
+        b = np.array([0.5, 0.5, 0.0, 0.0])
+        c = np.random.default_rng(0).uniform(size=(3, 4))
+        for eps in (0.5, 0.05):
+            res = sinkhorn(a, b, c, eps)
+            alone = sinkhorn(a[[0, 2]], b[:2], c[np.ix_([0, 2], [0, 1])], eps)
+            assert abs(res.value - alone.value) <= 1e-10
+            assert abs(res.value - primal_value(a, b, c, eps, res.coupling)) <= 1e-10
+            assert np.all(res.coupling.matrix[1] == 0.0)
+            assert np.all(res.coupling.matrix[:, 2:] == 0.0)
+
     def test_grid_cost_path_matches_dense(self):
         rng = np.random.default_rng(12)
-        gc = GridCost2D(4, 4)
-        a = random_histogram(rng, 16)
-        b = random_histogram(rng, 16)
-        r1 = sinkhorn(a, b, gc, 0.05)
-        r2 = sinkhorn(a, b, gc.entries, 0.05)
-        assert np.allclose(r1.potentials.f, r2.potentials.f, atol=1e-12)
-        assert r1.value == pytest.approx(r2.value, abs=1e-12)
+        for side in (4, 16):
+            gc = GridCost2D(side, side)
+            a = random_histogram(rng, side * side)
+            b = random_histogram(rng, side * side)
+            r1 = sinkhorn(a, b, gc, 0.05)
+            r2 = sinkhorn(a, b, gc.entries, 0.05)
+            assert np.allclose(r1.potentials.f, r2.potentials.f, rtol=0, atol=1e-12)
+            assert np.allclose(r1.potentials.g, r2.potentials.g, rtol=0, atol=1e-12)
+            assert r1.value == pytest.approx(r2.value, abs=1e-12)
+            assert np.allclose(r1.coupling.matrix, r2.coupling.matrix, rtol=0, atol=1e-12)
+            f, g = r1.potentials.f, r1.potentials.g
+            assert dual_value(f, g, a, b, gc, 0.05) == pytest.approx(
+                dual_value(f, g, a, b, gc.entries, 0.05), abs=1e-12)
+
+    def test_large_grid_distance_builds_no_cost_entries(self):
+        res, cost, a, b = grid_distance_128()
+        assert res.row_residual <= 1e-9 and res.col_residual <= 1e-9
+        f, g = res.potentials.f, res.potentials.g
+        assert dual_value(f, g, a, b, cost, 0.01) == pytest.approx(res.value, abs=1e-12)
+        assert "entries" not in vars(cost)  # built on first access only
+
+    def test_large_grid_distance_peak_memory(self):
+        # one n^2 array at 128^2 is 2.1 GB; the solve needs none
+        src = str(Path(smoothot.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+        probe = ("import resource, test_entropic; test_entropic.grid_distance_128(); "
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -165,9 +223,10 @@ class TestSinkhorn:
 
         monkeypatch.setattr(entropic, "logsumexp", counted)
         res = sinkhorn(a, b, c, 0.05, tol=1e-9)
-        # one reduction before the first sweep, two per sweep, one in dual_value
+        # one reduction before the first sweep and two per sweep; the value
+        # and the plan take none
         assert res.iterations > 10
-        assert len(calls) <= 2 * res.iterations + 2
+        assert len(calls) == 2 * res.iterations + 1
         assert res.coupling.row_residual == pytest.approx(res.row_residual, abs=1e-14)
         assert res.coupling.col_residual == pytest.approx(res.col_residual, abs=1e-14)
 
