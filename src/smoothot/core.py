@@ -189,7 +189,7 @@ class GridCost2D(CostMatrix):
 
     Keeps the per-axis squared-distance factors `row_sq` (h x h) and `col_sq`
     (w x w): `grid_kernel_apply` runs as one shifted h x h and one w x w GEMM,
-    a Gibbs plan is built from them, and `median_rescaled` counts on them.
+    a Gibbs plan is built from them, and `median` counts on them.
     The dense n^2 `entries` matrix (n = h*w) is built on first access only;
     `shape`, `repr` and `==` (equal grid shape and scale) never build it.
     """
