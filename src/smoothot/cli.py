@@ -165,6 +165,7 @@ def cmd_distance(args) -> int:
                 float(np.abs(plan.sum(axis=0) - b).sum()),
             ],
             "iterations": res.pivots,
+            "restarts": 0,
             "epsilon": 0.0,
         }
         converged = True
@@ -181,6 +182,7 @@ def cmd_distance(args) -> int:
             "dual_value": res.value,
             "marginal_residuals": [res.row_residual, res.col_residual],
             "iterations": res.iterations,
+            "restarts": res.restarts,
             "epsilon": args.epsilon,
         }
         converged = True

@@ -5,16 +5,22 @@ and dual objective values.  Iterations act on the potentials (f, g) directly,
 never on the scaling vectors, so small epsilon does not overflow.  A sweep on
 a dense cost makes 2 log-sum-exp reductions: each c-transform's reduction also
 gives one marginal of the plan, so the residual check costs none of its own.
-A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  The value comes
-from the last sweep's row marginal and the plan is a factored
-`Coupling.gibbs`, so on a grid no n^2 array exists unless the plan's matrix
-is asked for.  On a symmetric cost, `symmetric_potential` finds the
-self-transport potential of W_eps(a, a) by an averaged fixed point, as a warm
-start for `sinkhorn`.
+A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  Sweeps are
+overrelaxed, g <- g + w (T_b(f) - g) and then f <- f + w (T_a(g) - f), with
+w = 1 for the first 20 sweeps and then w = min(cap, 2/(1 + sqrt(1 - theta)))
+from the contraction rate theta of the marginal residual at w = 1.  A sweep
+whose residual is not finite or exceeds 10x the best so far is undone and the
+cap lowered; the check reads the residuals the sweep computes anyway, so the
+safeguard costs no kernel apply.  The value comes from the last sweep's row
+marginal and the plan is a factored `Coupling.gibbs`, so on a grid no n^2
+array exists unless the plan's matrix is asked for.  On a symmetric cost,
+`symmetric_potential` finds the self-transport potential of W_eps(a, a) by an
+averaged fixed point, as a warm start for `sinkhorn`.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,12 @@ from .core import (
 
 DEFAULT_TOL = 1e-9          # l1 marginal violation per unit of mass
 DEFAULT_MAX_ITER = 10_000
+
+# overrelaxation schedule of `sinkhorn`
+_WARMUP_SWEEPS = 20     # sweeps at omega = 1 before omega is first set
+_RATE_WINDOW = 10       # sweeps over which the contraction rate is measured
+_OMEGA_CAP = 1.95       # starting cap on omega; each restart halves omega - 1
+_REJECT = 10.0          # undo a sweep whose residual exceeds this x the best
 
 
 def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
@@ -107,11 +119,12 @@ class SinkhornResult:
     iterations: int
     row_residual: float
     col_residual: float
+    restarts: int = 0
 
 
 def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, f0=None) -> SinkhornResult:
-    """Block-coordinate dual ascent by alternating soft c-transforms.
+    """Overrelaxed block-coordinate dual ascent by alternating soft c-transforms.
 
     Parameters
     ----------
@@ -120,16 +133,30 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     cost : ground cost matrix or GridCost2D
     epsilon : regularization strength, > 0
     tol : l1 marginal violation of the implied plan, checked every sweep
-    max_iter : sweep budget; exceeding it raises IterationLimitError
+    max_iter : sweep budget; exceeding it raises IterationLimitError carrying
+        the last accepted potentials, full length
     f0 : optional warm start for the first potential
 
-    Returns the potentials (with f = c-transform of g), the implied plan
-    diag(e^{f/eps}) K diag(e^{g/eps}) as a factored `Coupling.gibbs`, and the
-    dual objective value <f,a> + <g,b> - eps * sum(P) over the stripped
-    problem, with the plan's mass taken from the last sweep's row marginal.
-    Neither takes a kernel apply of its own.  A GridCost2D without zero bins
-    is solved by `grid_kernel_apply` alone, so its entries are never built;
-    with zero bins it is solved densely over the stripped entries.
+    A sweep updates g <- g + w (T_b(f) - g), then f <- f + w (T_a(g) - f),
+    with T the soft c-transforms; at w = 1 it is the plain Sinkhorn sweep.
+    The first 20 sweeps run at w = 1.  Then w is set from the contraction
+    rate theta = (r_k / r_{k-10})^(1/10) of the marginal residual
+    r = max(row, col) over the last sweeps at w = 1, as
+    w = min(cap, 2 / (1 + sqrt(1 - theta))) (Lehmann et al., arXiv:2012.12562;
+    Thibault et al., arXiv:1711.01851), with cap = 1.95 at the start.  Safeguard:
+    a sweep at w > 1 whose residual is not finite or exceeds 10x the best seen
+    so far is undone, the cap falls to 1 + (w - 1)/2, and w returns to 1 until
+    theta is measured again.  The check reads the residuals every sweep
+    computes anyway, so it takes no kernel apply; `restarts` counts the
+    undone sweeps, which count in `iterations` and against `max_iter`.
+
+    Returns the potentials, the implied plan diag(e^{f/eps}) K diag(e^{g/eps})
+    as a factored `Coupling.gibbs`, and the dual objective value
+    <f,a> + <g,b> - eps * sum(P) over the stripped problem, with the plan's
+    mass taken from the last sweep's row marginal.  Neither takes a kernel
+    apply of its own.  A GridCost2D without zero bins is solved by
+    `grid_kernel_apply` alone, so its entries are never built; with zero bins
+    it is solved densely over the stripped entries.
     """
     if not epsilon > 0:
         raise ValueError("sinkhorn requires epsilon > 0")
@@ -145,39 +172,70 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     cols = np.flatnonzero(bw > 0)
     stripped = rows.size < aw.size or cols.size < bw.size
     ar, br = aw[rows], bw[cols]
-    # the separable kernel is symmetric, so both transforms share one helper
+    # log(K e^x) for x = g/eps (one entry per row) and log(K^T e^x) for
+    # x = f/eps (one per column); the separable kernel is symmetric, so on a
+    # grid both are the same apply
     grid = c if isinstance(c, GridCost2D) and not stripped else None
-    dense = lc = None
+    dense = None
     if grid is None:
         dense = as_cost(c)
         lc = -(dense[np.ix_(rows, cols)] if stripped else dense) / epsilon
+        log_k_rows = lambda x: logsumexp(lc + x[None, :], axis=1)
+        log_k_cols = lambda x: logsumexp(lc + x[:, None], axis=0)
+    else:
+        log_k_rows = log_k_cols = lambda x: grid_kernel_apply(x, grid, epsilon).ravel()
 
     f = np.zeros(ar.size) if f0 is None else np.asarray(f0, dtype=float)[rows]
     la, lb = np.log(ar), np.log(br)
     g = np.zeros(br.size)
-    if grid is None:
-        log_kf = logsumexp(lc + f[:, None] / epsilon, axis=0)
+    log_kf = None if grid is not None else log_k_cols(f / epsilon)
+    omega, cap, best_res = 1.0, _OMEGA_CAP, np.inf
+    plain = []  # residuals of the sweeps at omega = 1 since the last restart
+    restarts = 0
     iterations = 0
     row_res = col_res = np.inf
     for iterations in range(1, max_iter + 1):
-        # one full sweep: column transform then row transform, in log domain
+        if omega > 1.0:
+            kept = f, g, log_kf, row_res, col_res
         if grid is not None:
-            g = epsilon * (lb - grid_kernel_apply(f / epsilon, grid, epsilon).ravel())
-            log_kg = grid_kernel_apply(g / epsilon, grid, epsilon).ravel()
-            f = epsilon * (la - log_kg)
-            log_kf = grid_kernel_apply(f / epsilon, grid, epsilon).ravel()
-        else:
-            # log_kf is both this sweep's column residual and the next g-update
-            g = epsilon * (lb - log_kf)
-            log_kg = logsumexp(lc + g[None, :] / epsilon, axis=1)
-            f = epsilon * (la - log_kg)
-            log_kf = logsumexp(lc + f[:, None] / epsilon, axis=0)
-        row = np.exp(f / epsilon + log_kg)  # the plan's row marginal
-        row_res = float(np.abs(row - ar).sum())
-        col_res = float(np.abs(np.exp(g / epsilon + log_kf) - br).sum())
+            # the grid sweep applies the kernel to f again rather than carry
+            # log_kf over from the last sweep: the same numbers, one apply
+            # more (ROADMAP item 1 drops it)
+            log_kf = log_k_cols(f / epsilon)
+        # one full sweep: column transform then row transform, in log domain;
+        # log_kf is both the last sweep's column residual and this g-update
+        t = epsilon * (lb - log_kf)
+        g = t if omega == 1.0 else g + omega * (t - g)
+        log_kg = log_k_rows(g / epsilon)
+        t = epsilon * (la - log_kg)
+        f = t if omega == 1.0 else f + omega * (t - f)
+        log_kf = log_k_cols(f / epsilon)
+        # an overrelaxed sweep may overflow; the safeguard then undoes it
+        with np.errstate(over="ignore") if omega > 1.0 else nullcontext():
+            row = np.exp(f / epsilon + log_kg)  # the plan's row marginal
+            row_res = float(np.abs(row - ar).sum())
+            col_res = float(np.abs(np.exp(g / epsilon + log_kf) - br).sum())
+        residual = max(row_res, col_res)
+        if omega > 1.0 and not residual <= _REJECT * best_res:
+            # safeguard: undo the sweep, lower the cap, measure theta again
+            f, g, log_kf, row_res, col_res = kept
+            cap = 1.0 + 0.5 * (omega - 1.0)
+            omega = 1.0
+            plain = []
+            restarts += 1
+            continue
+        best_res = min(best_res, residual)
         if row_res <= tol and col_res <= tol:
             break
+        if omega == 1.0:
+            plain.append(residual)
+            if iterations >= _WARMUP_SWEEPS and len(plain) > _RATE_WINDOW:
+                ratio = plain[-1] / plain[-1 - _RATE_WINDOW]
+                theta = min(1.0, ratio ** (1.0 / _RATE_WINDOW))
+                omega = min(cap, 2.0 / (1.0 + np.sqrt(1.0 - theta)))
     else:
+        if stripped:
+            f, g = _reinsert(f, g, aw, bw, rows, cols, dense, epsilon)[2:]
         raise IterationLimitError(
             f"sinkhorn did not reach tol={tol:g} in {max_iter} sweeps",
             best=(f, g),
@@ -188,22 +246,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     value = float(np.dot(f, ar) + np.dot(g, br) - epsilon * row.sum())
     f_plan, g_plan = f, g
     if stripped:
-        # the plan's zero rows/columns are -inf potentials; the returned
-        # potentials take the transform with unit weights there (log term 0)
-        f_plan = np.full(aw.size, -np.inf)
-        g_plan = np.full(bw.size, -np.inf)
-        f_plan[rows] = f
-        g_plan[cols] = g
-        off_rows = np.flatnonzero(aw == 0)
-        off_cols = np.flatnonzero(bw == 0)
-        f_full, g_full = f_plan.copy(), g_plan.copy()
-        if off_rows.size:
-            f_full[off_rows] = ctransform_of_f(
-                g, np.ones(off_rows.size), dense[np.ix_(off_rows, cols)].T, epsilon)
-        if off_cols.size:
-            g_full[off_cols] = ctransform_of_f(
-                f, np.ones(off_cols.size), dense[np.ix_(rows, off_cols)], epsilon)
-        f, g = f_full, g_full
+        f_plan, g_plan, f, g = _reinsert(f, g, aw, bw, rows, cols, dense, epsilon)
     return SinkhornResult(
         potentials=Potentials(f, g),
         coupling=Coupling.gibbs(f_plan, g_plan, c, epsilon, aw, bw),
@@ -211,7 +254,32 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         iterations=iterations,
         row_residual=row_res,
         col_residual=col_res,
+        restarts=restarts,
     )
+
+
+def _reinsert(f, g, aw, bw, rows, cols, dense, epsilon):
+    """Full-length potentials of a solve over the positive bins `rows`, `cols`.
+
+    Returns (f_plan, g_plan, f_full, g_full).  The plan's zero rows/columns
+    are -inf entries of f_plan, g_plan; f_full, g_full take the transform
+    with unit weights there (log term 0), so they are finite and a valid
+    warm start.
+    """
+    f_plan = np.full(aw.size, -np.inf)
+    g_plan = np.full(bw.size, -np.inf)
+    f_plan[rows] = f
+    g_plan[cols] = g
+    off_rows = np.flatnonzero(aw == 0)
+    off_cols = np.flatnonzero(bw == 0)
+    f_full, g_full = f_plan.copy(), g_plan.copy()
+    if off_rows.size:
+        f_full[off_rows] = ctransform_of_f(
+            g, np.ones(off_rows.size), dense[np.ix_(off_rows, cols)].T, epsilon)
+    if off_cols.size:
+        g_full[off_cols] = ctransform_of_f(
+            f, np.ones(off_cols.size), dense[np.ix_(rows, off_cols)], epsilon)
+    return f_plan, g_plan, f_full, g_full
 
 
 def symmetric_potential(a, cost, epsilon: float, *,

@@ -125,6 +125,27 @@ class TestDistanceCommand:
             payload = json.loads(out.read_text())
             assert abs(payload["dual_value"] - payload["value"]) <= 1e-10
 
+    def test_reports_safeguard_restarts(self, tmp_path):
+        rng = np.random.default_rng(204)
+        for _ in range(2):  # criterion 4's cost 1, where the safeguard fires
+            a_vals = rng.dirichlet(np.ones(10))
+            b_vals = rng.dirichlet(np.ones(10))
+            cost = rng.uniform(size=(10, 10))
+        a = write_vec(tmp_path / "a.txt", a_vals)
+        b = write_vec(tmp_path / "b.txt", b_vals)
+        c = tmp_path / "c.csv"
+        fileio.write_matrix(c, cost)
+        out = tmp_path / "o.json"
+        code = run(["distance", "--a", a, "--b", b, "--cost", c, "--epsilon", "1e-3",
+                    "--tol", "1e-11", "--max-iter", "100000", "--out", out])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        res = smoothot.entropic.sinkhorn(fileio.read_vector(a), fileio.read_vector(b),
+                                         fileio.read_matrix(c), 1e-3, tol=1e-11,
+                                         max_iter=100_000)
+        assert payload["restarts"] == res.restarts >= 1
+        assert payload["iterations"] == res.iterations
+
     def test_grid_cost_and_rescale(self, tmp_path):
         a = write_vec(tmp_path / "a.txt", [0.25, 0.25, 0.25, 0.25])
         b = write_vec(tmp_path / "b.txt", [0.1, 0.2, 0.3, 0.4])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,57 @@ class TestSinkhorn:
             sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=2)
         assert info.value.residual > 0
         assert info.value.iterations == 2
+
+    def test_iteration_limit_best_resumes_with_zero_bins(self):
+        a = np.array([0.3, 0.0, 0.7])
+        b = np.array([0.5, 0.5, 0.0, 0.0])
+        c = np.random.default_rng(0).uniform(size=(3, 4))
+        with pytest.raises(IterationLimitError) as info:
+            sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=3)
+        f, g = info.value.best
+        assert f.shape == (3,) and g.shape == (4,)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+        resumed = sinkhorn(a, b, c, 0.01, f0=f)
+        cold = sinkhorn(a, b, c, 0.01)
+        assert resumed.row_residual <= 1e-9 and resumed.col_residual <= 1e-9
+        assert abs(resumed.value - cold.value) <= 1e-12
+
+    def test_overrelaxation_cuts_sweeps_with_the_same_value(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        side = 16
+        gc = GridCost2D(side, side)
+        a = random_histogram(rng, side * side)
+        b = random_histogram(rng, side * side)
+        cases = [(a, b, gc, eps, 1e-9) for eps in (1.0 / side, 1.0 / (4 * side))]
+        rng = np.random.default_rng(204)  # criterion 4's costs
+        for _ in range(5):
+            a = random_histogram(rng, 10)
+            b = random_histogram(rng, 10)
+            cases.append((a, b, rng.uniform(size=(10, 10)), 1e-3, 1e-11))
+        for a, b, c, eps, tol in cases:
+            fast = sinkhorn(a, b, c, eps, tol=tol, max_iter=100_000)
+            with monkeypatch.context() as m:
+                m.setattr(entropic, "_WARMUP_SWEEPS", 100_001)  # omega = 1 throughout
+                plain = sinkhorn(a, b, c, eps, tol=tol, max_iter=100_000)
+            assert plain.restarts == 0
+            assert fast.row_residual <= tol and fast.col_residual <= tol
+            assert fast.iterations < plain.iterations
+            assert abs(fast.value - plain.value) <= 1e-12
+
+    def test_safeguard_restarts_without_warnings(self, monkeypatch):
+        rng = np.random.default_rng(204)
+        for _ in range(2):  # criterion 4's cost 1
+            a = random_histogram(rng, 10)
+            b = random_histogram(rng, 10)
+            c = rng.uniform(size=(10, 10))
+        for cap in (entropic._OMEGA_CAP, 1.99):
+            monkeypatch.setattr(entropic, "_OMEGA_CAP", cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = sinkhorn(a, b, c, 1e-3, tol=1e-11, max_iter=100_000)
+            assert res.restarts >= 1
+            assert res.row_residual <= 1e-11 and res.col_residual <= 1e-11
+            assert abs(res.value - primal_value(a, b, c, 1e-3, res.coupling)) <= 1e-9
 
 
 class TestSymmetricPotential:
