@@ -11,7 +11,8 @@ w = 1 for the first 20 sweeps and then w = min(cap, 2/(1 + sqrt(1 - theta)))
 from the contraction rate theta of the marginal residual at w = 1.  A sweep
 whose residual is not finite or exceeds 10x the best so far is undone and the
 cap lowered; the check reads the residuals the sweep computes anyway, so the
-safeguard costs no kernel apply.  The value comes from the last sweep's row
+safeguard costs no kernel apply.  A solve ends on a sweep at w = 1, so the
+plan's row marginal is a to rounding and its mass is 1.  The value comes from the last sweep's row
 marginal and the plan is a factored `Coupling.gibbs`, so on a grid no n^2
 array exists unless the plan's matrix is asked for.  On a symmetric cost,
 `symmetric_potential` finds the self-transport potential of W_eps(a, a) by an
@@ -148,7 +149,13 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     so far is undone, the cap falls to 1 + (w - 1)/2, and w returns to 1 until
     theta is measured again.  The check reads the residuals every sweep
     computes anyway, so it takes no kernel apply; `restarts` counts the
-    undone sweeps, which count in `iterations` and against `max_iter`.
+    undone sweeps, which count in `iterations` and against `max_iter`.  The
+    safeguard guards against blow-up only: a w that stalls within the 10x
+    band runs on to `max_iter`.  A no-progress test cannot tell such a stall
+    from the plateaus of small-eps solves, where the residual stays flat for
+    a thousand sweeps at w = 1 as well.  When a sweep at w > 1 meets tol,
+    one more sweep runs at w = 1 and the solve stops when it meets tol too,
+    so f = T_a(g) at return and the plan's row marginal is a to rounding.
 
     Returns the potentials, the implied plan diag(e^{f/eps}) K diag(e^{g/eps})
     as a factored `Coupling.gibbs`, and the dual objective value
@@ -226,8 +233,12 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
             continue
         best_res = min(best_res, residual)
         if row_res <= tol and col_res <= tol:
-            break
-        if omega == 1.0:
+            if omega == 1.0:
+                break
+            # end on a plain sweep: its row marginal is a to rounding, so the
+            # plan has mass 1
+            omega, plain = 1.0, []
+        elif omega == 1.0:
             plain.append(residual)
             if iterations >= _WARMUP_SWEEPS and len(plain) > _RATE_WINDOW:
                 ratio = plain[-1] / plain[-1 - _RATE_WINDOW]

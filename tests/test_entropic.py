@@ -292,6 +292,30 @@ class TestSinkhorn:
             assert res.row_residual <= 1e-11 and res.col_residual <= 1e-11
             assert abs(res.value - primal_value(a, b, c, 1e-3, res.coupling)) <= 1e-9
 
+    def test_loose_tol_after_overrelaxation_gives_a_unit_mass_plan(self):
+        # an overrelaxed last sweep leaves the row marginal off a by up to
+        # tol, which breaks the plan's mass-1 check; the solve must end on a
+        # plain sweep instead
+        rng = np.random.default_rng(204)
+        for _ in range(2):  # criterion 4's cost 1
+            a = random_histogram(rng, 10)
+            b = random_histogram(rng, 10)
+            c = rng.uniform(size=(10, 10))
+        rng = np.random.default_rng(17)
+        side = 16
+        ga = random_histogram(rng, side * side)
+        gb = random_histogram(rng, side * side)
+        cases = [(a, b, c, 1e-3), (ga, gb, GridCost2D(side, side), 1.0 / (4 * side))]
+        for a, b, c, eps in cases:
+            for tol in (1e-3, 1e-7):
+                res = sinkhorn(a, b, c, eps, tol=tol)
+                assert res.iterations > entropic._WARMUP_SWEEPS  # omega > 1 was used
+                assert res.row_residual <= tol and res.col_residual <= tol
+                p = res.coupling.matrix
+                assert abs(p.sum() - 1.0) <= 1e-12
+                assert np.abs(p.sum(axis=1) - a).sum() <= 1e-12
+            assert abs(res.value - primal_value(a, b, c, eps, res.coupling)) <= 1e-6
+
 
 class TestSymmetricPotential:
     def test_warm_start_value_equals_cold_solve(self):
