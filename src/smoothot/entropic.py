@@ -14,7 +14,9 @@ cap lowered; the check reads the residuals the sweep computes anyway, so the
 safeguard costs no kernel apply.  A solve ends on a sweep at w = 1, so the
 plan's row marginal is a to rounding and its mass is 1.  The value comes from the last sweep's row
 marginal and the plan is a factored `Coupling.gibbs`, so on a grid no n^2
-array exists unless the plan's matrix is asked for.  On a symmetric cost,
+array exists unless the plan's matrix is asked for.  A zero-mass bin is a
+log 0 = -inf mask in the kernel input on either cost path, and
+`_log_kernels` holds the one switch on the cost's structure.  On a symmetric cost,
 `symmetric_potential` finds the self-transport potential of W_eps(a, a) by an
 averaged fixed point, as a warm start for `sinkhorn`.
 """
@@ -50,6 +52,26 @@ _OMEGA_CAP = 1.95       # starting cap on omega; each restart halves omega - 1
 _REJECT = 10.0          # undo a sweep whose residual exceeds this x the best
 
 
+def _log_kernels(cost, epsilon):
+    """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), for a vector x.
+
+    The cost's structure is the only switch: a GridCost2D runs
+    `grid_kernel_apply` (its kernel is symmetric, so both directions are one
+    function), a dense cost one log-sum-exp over its validated entries.
+    """
+    if isinstance(cost, GridCost2D):
+        apply = lambda x: grid_kernel_apply(x, cost, epsilon).ravel()
+        return apply, apply
+    lc = -cost / epsilon
+    return (lambda x: logsumexp(lc + x[:, None], axis=0),
+            lambda x: logsumexp(lc + x[None, :], axis=1))
+
+
+def _log_mask(w):
+    """log of the support indicator of w: 0 where w > 0, -inf elsewhere."""
+    return np.where(w > 0, 0.0, -np.inf)
+
+
 def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
     """Soft c-transform of f: eps*log(b_j) + softmin_eps(C[:, j] - f).
 
@@ -73,9 +95,11 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
 def dual_value(f, g, a, b, cost, epsilon: float) -> float:
     """Dual objective <f,a> + <g,b> - eps * sum exp((f + g - C)/eps).
 
-    The mass term is sum_i exp(f_i/eps + log(K e^{g/eps})_i), from one
-    log-kernel apply: `grid_kernel_apply` on a GridCost2D, a dense
-    log-sum-exp otherwise.
+    The mass term is sum_i exp(f_i/eps + ma_i + log(K e^{g/eps + mb})_i), from
+    one log-kernel apply, with the masks ma, mb = 0 on the support of a, b
+    and -inf off it, so zero bins carry no mass, as in `sinkhorn`.  This is
+    the dual maximised over the zero-bin coordinates, so it is still a lower
+    bound on the primal value.
     """
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
@@ -84,11 +108,8 @@ def dual_value(f, g, a, b, cost, epsilon: float) -> float:
         raise ValueError("cost shape does not match the marginals")
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
-    if isinstance(c, GridCost2D):
-        log_kg = grid_kernel_apply(gv / epsilon, c, epsilon).ravel()
-    else:
-        log_kg = logsumexp(-c / epsilon + gv[None, :] / epsilon, axis=1)
-    mass = np.exp(fv / epsilon + log_kg).sum()
+    log_kg = _log_kernels(c, epsilon)[1](gv / epsilon + _log_mask(bw))
+    mass = np.exp(fv / epsilon + _log_mask(aw) + log_kg).sum()
     return float(np.dot(fv, aw) + np.dot(gv, bw) - epsilon * mass)
 
 
@@ -129,14 +150,14 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
 
     Parameters
     ----------
-    a, b : histograms (zero-mass bins are stripped and reinserted as zero
-        rows/columns of the plan)
+    a, b : histograms, zero bins allowed (a zero row/column of the plan)
     cost : ground cost matrix or GridCost2D
     epsilon : regularization strength, > 0
     tol : l1 marginal violation of the implied plan, checked every sweep
     max_iter : sweep budget; exceeding it raises IterationLimitError carrying
-        the last accepted potentials, full length
-    f0 : optional warm start for the first potential
+        the last accepted potentials
+    f0 : optional warm start for the first potential, a finite vector with
+        one entry per bin of a
 
     A sweep updates g <- g + w (T_b(f) - g), then f <- f + w (T_a(g) - f),
     with T the soft c-transforms; at w = 1 it is the plain Sinkhorn sweep.
@@ -157,13 +178,16 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     one more sweep runs at w = 1 and the solve stops when it meets tol too,
     so f = T_a(g) at return and the plan's row marginal is a to rounding.
 
+    Zero bins stay in place as masks, 0 on the support and -inf off it,
+    added to f/eps and g/eps in the kernel inputs, with unit log weights off
+    the support.  So a zero bin carries no mass, and its potential is the
+    unit-weight transform of the other one: finite, and a valid warm start.
     Returns the potentials, the implied plan diag(e^{f/eps}) K diag(e^{g/eps})
     as a factored `Coupling.gibbs`, and the dual objective value
-    <f,a> + <g,b> - eps * sum(P) over the stripped problem, with the plan's
-    mass taken from the last sweep's row marginal.  Neither takes a kernel
-    apply of its own.  A GridCost2D without zero bins is solved by
-    `grid_kernel_apply` alone, so its entries are never built; with zero bins
-    it is solved densely over the stripped entries.
+    <f,a> + <g,b> - eps * sum(P), with the plan's mass taken from the last
+    sweep's row marginal.  Neither takes a kernel apply of its own.  A
+    GridCost2D, zero bins or not, is solved by `grid_kernel_apply` alone, so
+    its entries are never built.
     """
     if not epsilon > 0:
         raise ValueError("sinkhorn requires epsilon > 0")
@@ -174,28 +198,19 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     c = as_kernel_cost(cost)
     if c.shape != (aw.size, bw.size):
         raise ValueError("cost shape does not match the marginals")
-
-    rows = np.flatnonzero(aw > 0)
-    cols = np.flatnonzero(bw > 0)
-    stripped = rows.size < aw.size or cols.size < bw.size
-    ar, br = aw[rows], bw[cols]
-    # log(K e^x) for x = g/eps (one entry per row) and log(K^T e^x) for
-    # x = f/eps (one per column); the separable kernel is symmetric, so on a
-    # grid both are the same apply
-    grid = c if isinstance(c, GridCost2D) and not stripped else None
-    dense = None
-    if grid is None:
-        dense = as_cost(c)
-        lc = -(dense[np.ix_(rows, cols)] if stripped else dense) / epsilon
-        log_k_rows = lambda x: logsumexp(lc + x[None, :], axis=1)
-        log_k_cols = lambda x: logsumexp(lc + x[:, None], axis=0)
+    if f0 is None:
+        f = np.zeros(aw.size)
     else:
-        log_k_rows = log_k_cols = lambda x: grid_kernel_apply(x, grid, epsilon).ravel()
+        f = np.array(f0, dtype=float)
+        if f.shape != aw.shape or not np.all(np.isfinite(f)):
+            raise ValueError("f0 must be a finite vector with one entry per bin of a")
 
-    f = np.zeros(ar.size) if f0 is None else np.asarray(f0, dtype=float)[rows]
-    la, lb = np.log(ar), np.log(br)
-    g = np.zeros(br.size)
-    log_kf = None if grid is not None else log_k_cols(f / epsilon)
+    log_k_cols, log_k_rows = _log_kernels(c, epsilon)
+    grid = isinstance(c, GridCost2D)
+    ma, mb = _log_mask(aw), _log_mask(bw)
+    la, lb = np.log(np.where(aw > 0, aw, 1.0)), np.log(np.where(bw > 0, bw, 1.0))
+    g = np.zeros(bw.size)
+    log_kf = None if grid else log_k_cols(f / epsilon + ma)
     omega, cap, best_res = 1.0, _OMEGA_CAP, np.inf
     plain = []  # residuals of the sweeps at omega = 1 since the last restart
     restarts = 0
@@ -204,24 +219,26 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     for iterations in range(1, max_iter + 1):
         if omega > 1.0:
             kept = f, g, log_kf, row_res, col_res
-        if grid is not None:
+        if grid:
             # the grid sweep applies the kernel to f again rather than carry
             # log_kf over from the last sweep: the same numbers, one apply
             # more (ROADMAP item 1 drops it)
-            log_kf = log_k_cols(f / epsilon)
+            log_kf = log_k_cols(f / epsilon + ma)
         # one full sweep: column transform then row transform, in log domain;
         # log_kf is both the last sweep's column residual and this g-update
         t = epsilon * (lb - log_kf)
         g = t if omega == 1.0 else g + omega * (t - g)
-        log_kg = log_k_rows(g / epsilon)
+        v = g / epsilon + mb
+        log_kg = log_k_rows(v)
         t = epsilon * (la - log_kg)
         f = t if omega == 1.0 else f + omega * (t - f)
-        log_kf = log_k_cols(f / epsilon)
+        u = f / epsilon + ma
+        log_kf = log_k_cols(u)
         # an overrelaxed sweep may overflow; the safeguard then undoes it
         with np.errstate(over="ignore") if omega > 1.0 else nullcontext():
-            row = np.exp(f / epsilon + log_kg)  # the plan's row marginal
-            row_res = float(np.abs(row - ar).sum())
-            col_res = float(np.abs(np.exp(g / epsilon + log_kf) - br).sum())
+            row = np.exp(u + log_kg)  # the plan's row marginal
+            row_res = float(np.abs(row - aw).sum())
+            col_res = float(np.abs(np.exp(v + log_kf) - bw).sum())
         residual = max(row_res, col_res)
         if omega > 1.0 and not residual <= _REJECT * best_res:
             # safeguard: undo the sweep, lower the cap, measure theta again
@@ -245,8 +262,6 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
                 theta = min(1.0, ratio ** (1.0 / _RATE_WINDOW))
                 omega = min(cap, 2.0 / (1.0 + np.sqrt(1.0 - theta)))
     else:
-        if stripped:
-            f, g = _reinsert(f, g, aw, bw, rows, cols, dense, epsilon)[2:]
         raise IterationLimitError(
             f"sinkhorn did not reach tol={tol:g} in {max_iter} sweeps",
             best=(f, g),
@@ -254,43 +269,18 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
             iterations=max_iter,
         )
 
-    value = float(np.dot(f, ar) + np.dot(g, br) - epsilon * row.sum())
-    f_plan, g_plan = f, g
-    if stripped:
-        f_plan, g_plan, f, g = _reinsert(f, g, aw, bw, rows, cols, dense, epsilon)
+    value = float(np.dot(f, aw) + np.dot(g, bw) - epsilon * row.sum())
+    # g of a zero column: the transform of the final f, like f of a zero row
+    g = np.where(bw > 0, g, -epsilon * log_kf)
     return SinkhornResult(
         potentials=Potentials(f, g),
-        coupling=Coupling.gibbs(f_plan, g_plan, c, epsilon, aw, bw),
+        coupling=Coupling.gibbs(f + epsilon * ma, g + epsilon * mb, c, epsilon, aw, bw),
         value=value,
         iterations=iterations,
         row_residual=row_res,
         col_residual=col_res,
         restarts=restarts,
     )
-
-
-def _reinsert(f, g, aw, bw, rows, cols, dense, epsilon):
-    """Full-length potentials of a solve over the positive bins `rows`, `cols`.
-
-    Returns (f_plan, g_plan, f_full, g_full).  The plan's zero rows/columns
-    are -inf entries of f_plan, g_plan; f_full, g_full take the transform
-    with unit weights there (log term 0), so they are finite and a valid
-    warm start.
-    """
-    f_plan = np.full(aw.size, -np.inf)
-    g_plan = np.full(bw.size, -np.inf)
-    f_plan[rows] = f
-    g_plan[cols] = g
-    off_rows = np.flatnonzero(aw == 0)
-    off_cols = np.flatnonzero(bw == 0)
-    f_full, g_full = f_plan.copy(), g_plan.copy()
-    if off_rows.size:
-        f_full[off_rows] = ctransform_of_f(
-            g, np.ones(off_rows.size), dense[np.ix_(off_rows, cols)].T, epsilon)
-    if off_cols.size:
-        g_full[off_cols] = ctransform_of_f(
-            f, np.ones(off_cols.size), dense[np.ix_(rows, off_cols)], epsilon)
-    return f_plan, g_plan, f_full, g_full
 
 
 def symmetric_potential(a, cost, epsilon: float, *,
@@ -314,12 +304,9 @@ def symmetric_potential(a, cost, epsilon: float, *,
     c = as_kernel_cost(cost)
     if c.shape != (aw.size, aw.size):
         raise ValueError("cost shape does not match the histogram")
-    if isinstance(c, GridCost2D):
-        apply = lambda x: grid_kernel_apply(x, c, epsilon).ravel()
-    elif np.array_equal(c, c.T):
-        lc = -c / epsilon
-        apply = lambda x: logsumexp(lc + x[None, :], axis=1)
-    else:
+    apply_kt, apply = _log_kernels(c, epsilon)
+    # one function for both directions marks a grid's symmetric kernel
+    if apply_kt is not apply and not np.array_equal(c, c.T):
         return None
     max_iter = DEFAULT_MAX_ITER
     la = np.log(aw)

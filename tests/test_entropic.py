@@ -169,14 +169,33 @@ class TestSinkhorn:
             assert np.all(res.coupling.matrix[1] == 0.0)
             assert np.all(res.coupling.matrix[:, 2:] == 0.0)
 
+    def test_dual_value_at_the_potentials_is_the_value_with_zero_bins(self):
+        # zero bins are masked in the dual's mass term as in the solve
+        a = np.array([0.3, 0.0, 0.7])
+        b = np.array([0.5, 0.5, 0.0, 0.0])
+        c = np.random.default_rng(0).uniform(size=(3, 4))
+        for eps in (0.5, 0.05):
+            res = sinkhorn(a, b, c, eps)
+            f, g = res.potentials.f, res.potentials.g
+            assert abs(dual_value(f, g, a, b, c, eps) - res.value) <= 1e-12
+
     def test_grid_cost_path_matches_dense(self):
         rng = np.random.default_rng(12)
+        cases = []
         for side in (4, 16):
+            cases.append((side, random_histogram(rng, side * side),
+                          random_histogram(rng, side * side)))
+        # zero pixels in both histograms: masked on the grid path too
+        a, b = cases[-1][1].copy(), cases[-1][2].copy()
+        a[rng.choice(a.size, 20, replace=False)] = 0.0
+        b[rng.choice(b.size, 20, replace=False)] = 0.0
+        cases.append((16, a / a.sum(), b / b.sum()))
+        for side, a, b in cases:
             gc = GridCost2D(side, side)
-            a = random_histogram(rng, side * side)
-            b = random_histogram(rng, side * side)
             r1 = sinkhorn(a, b, gc, 0.05)
+            assert "entries" not in vars(gc)  # no dense fallback
             r2 = sinkhorn(a, b, gc.entries, 0.05)
+            assert r1.iterations == r2.iterations
             assert np.allclose(r1.potentials.f, r2.potentials.f, rtol=0, atol=1e-12)
             assert np.allclose(r1.potentials.g, r2.potentials.g, rtol=0, atol=1e-12)
             assert r1.value == pytest.approx(r2.value, abs=1e-12)
@@ -209,6 +228,10 @@ class TestSinkhorn:
             sinkhorn([1.0], [1.0], [[0.0]], 0.0)
         with pytest.raises(ValueError):
             sinkhorn([1.0], [1.0], [[0.0]], 0.5, tol=0.0)
+        a = np.full(16, 1.0 / 16)
+        for f0 in (np.zeros(18), np.zeros(20), np.zeros(14), np.full(16, np.nan)):
+            with pytest.raises(ValueError):
+                sinkhorn(a, a, GridCost2D(4, 4), 0.5, f0=f0)
 
     def test_dense_sweep_makes_two_reductions(self, monkeypatch):
         rng = np.random.default_rng(14)
