@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import CostMatrix, Histogram, IterationLimitError, as_cost, as_weights
+from .core import Histogram, IterationLimitError, as_cost, as_kernel_cost, as_weights
 from .entropic import ctransform_of_f, sinkhorn
 from .legendre import semidual_conjugate_batch
 
@@ -40,8 +40,7 @@ class BarycenterProblem:
         lam = as_weights(weights, "weights")
         if lam.size != bm.shape[1]:
             raise ValueError("one weight per input histogram is required")
-        # keep structured costs (e.g. grid costs) intact for the fast kernels
-        c = cost if isinstance(cost, CostMatrix) else as_cost(cost)
+        c = as_kernel_cost(cost)
         if c.shape != (bm.shape[0], bm.shape[0]):
             raise ValueError("the barycenter problem needs a square cost")
         if epsilon < 0:

@@ -106,26 +106,29 @@ def _load_density(path, normalize: bool):
     return Histogram(values, normalize=normalize).weights, None
 
 
-def _build_cost(spec, n: int, shape, path_hint: str):
+def _build_cost(cfg, n: int, shape, path_hint: str):
+    """The config's cost for n bins, divided by its median if `rescale_median`."""
+    spec = cfg.get("cost")
     if spec is None:
-        if shape is not None:
-            return GridCost2D(*shape)
-        raise ConfigError(
-            f"{path_hint}: a cost spec is required for non-grid inputs"
-        )
-    kind = spec.get("type")
-    if kind == "file":
-        return fileio.read_matrix(spec["path"])
-    if kind == "grid1d":
-        return CostMatrix.squared_euclidean(
+        if shape is None:
+            raise ConfigError(
+                f"{path_hint}: a cost spec is required for non-grid inputs"
+            )
+        cost = GridCost2D(*shape)
+    elif spec.get("type") == "file":
+        cost = fileio.read_matrix(spec["path"])
+    elif spec.get("type") == "grid1d":
+        cost = CostMatrix.squared_euclidean(
             grid_points_1d(n, float(spec["lo"]), float(spec["hi"]))
         ).entries
-    if kind == "grid2d":
+    elif spec.get("type") == "grid2d":
         h, w = int(spec["h"]), int(spec["w"])
         if h * w != n:
             raise ConfigError("grid2d dimensions do not match the data size")
-        return GridCost2D(h, w)
-    raise ConfigError(f"unknown cost type {kind!r}")
+        cost = GridCost2D(h, w)
+    else:
+        raise ConfigError(f"unknown cost type {spec.get('type')!r}")
+    return rescale_median(cost) if cfg.get("rescale_median", False) else cost
 
 
 def _json_out(payload: dict, path) -> None:
@@ -209,9 +212,7 @@ def _load_barycenter_inputs(args, cfg):
     n = bmat.shape[0]
     weights = np.asarray(cfg.get("weights", np.full(len(columns), 1.0 / len(columns))),
                          dtype=float)
-    cost = _build_cost(cfg.get("cost"), n, shape, args.config)
-    if cfg.get("rescale_median", False):
-        cost = cost.median_rescaled() if isinstance(cost, GridCost2D) else rescale_median(cost)
+    cost = _build_cost(cfg, n, shape, args.config)
     return bmat, weights, cost, shape
 
 
@@ -324,9 +325,7 @@ def cmd_flow(args) -> int:
     cfg = load_config(args.config, "flow")
     a0, shape = _load_density(args.initial, args.normalize)
     n = a0.size
-    cost = _build_cost(cfg.get("cost"), n, shape, args.config)
-    if cfg.get("rescale_median", False):
-        cost = cost.median_rescaled() if isinstance(cost, GridCost2D) else rescale_median(cost)
+    cost = _build_cost(cfg, n, shape, args.config)
     op = _make_operator(cfg, n, shape)
     reg = _make_regularizer(cfg)
     start = time.perf_counter()

@@ -175,8 +175,13 @@ def grid_points_2d(h: int, w: int) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def rescale_median(cost) -> np.ndarray:
-    """Divide a cost matrix by the median of its entries (median becomes 1)."""
+def rescale_median(cost):
+    """Divide a cost by the median of its entries (median becomes 1).
+
+    A GridCost2D stays a grid (`median_rescaled`) and builds no entries.
+    """
+    if isinstance(cost, GridCost2D):
+        return cost.median_rescaled()
     m = as_cost(cost)
     med = float(np.median(m))
     if med <= 0:

@@ -12,13 +12,14 @@ from the contraction rate theta of the marginal residual at w = 1.  A sweep
 whose residual is not finite or exceeds 10x the best so far is undone and the
 cap lowered; the check reads the residuals the sweep computes anyway, so the
 safeguard costs no kernel apply.  A solve ends on a sweep at w = 1, so the
-plan's row marginal is a to rounding and its mass is 1.  The value comes from the last sweep's row
-marginal and the plan is a factored `Coupling.gibbs`, so on a grid no n^2
-array exists unless the plan's matrix is asked for.  A zero-mass bin is a
-log 0 = -inf mask in the kernel input on either cost path, and
-`_log_kernels` holds the one switch on the cost's structure.  On a symmetric cost,
-`symmetric_potential` finds the self-transport potential of W_eps(a, a) by an
-averaged fixed point, as a warm start for `sinkhorn`.
+plan's row marginal is a to rounding and its mass is 1.  The value comes from
+the last sweep's row marginal and the plan is a factored `Coupling.gibbs`, so
+on a grid no n^2 array exists unless the plan's matrix is asked for.  A
+zero-mass bin is a log 0 = -inf mask in the kernel input on either cost path.
+`_log_kernels`, shared with `legendre`, holds the package's one kernel switch
+on the cost's structure.  On a symmetric cost, `symmetric_potential` finds
+the self-transport potential of W_eps(a, a) by an averaged fixed point, as
+a warm start for `sinkhorn`.
 """
 
 from __future__ import annotations
@@ -53,18 +54,22 @@ _REJECT = 10.0          # undo a sweep whose residual exceeds this x the best
 
 
 def _log_kernels(cost, epsilon):
-    """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), for a vector x.
+    """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), x a vector or (N, n) stack.
 
-    The cost's structure is the only switch: a GridCost2D runs
-    `grid_kernel_apply` (its kernel is symmetric, so both directions are one
-    function), a dense cost one log-sum-exp over its validated entries.
+    The package's one switch on the cost's structure: a GridCost2D runs this
+    module's `grid_kernel_apply` once per vector (its kernel is symmetric, so
+    both directions are one function), a dense cost, given as its validated
+    entries, one broadcast `logsumexp`.
     """
     if isinstance(cost, GridCost2D):
-        apply = lambda x: grid_kernel_apply(x, cost, epsilon).ravel()
+        def apply(x):
+            if x.ndim == 1:
+                return grid_kernel_apply(x, cost, epsilon).ravel()
+            return np.array([grid_kernel_apply(r, cost, epsilon).ravel() for r in x])
         return apply, apply
     lc = -cost / epsilon
-    return (lambda x: logsumexp(lc + x[:, None], axis=0),
-            lambda x: logsumexp(lc + x[None, :], axis=1))
+    return (lambda x: logsumexp(lc + x[..., :, None], axis=-2),
+            lambda x: logsumexp(lc + x[..., None, :], axis=-1))
 
 
 def _log_mask(w):
@@ -75,21 +80,23 @@ def _log_mask(w):
 def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
     """Soft c-transform of f: eps*log(b_j) + softmin_eps(C[:, j] - f).
 
-    At eps = 0 the log term vanishes by convention and the transform is the
-    plain column minimum.  Coordinates with b_j = 0 and eps > 0 come back as
-    -inf sentinels; callers must treat those points as inactive.  The row
-    transform of g against a is ctransform_of_f(g, a, C.T, eps).
+    For eps > 0 it is eps*log b - eps*log K^T e^{f/eps}, one kernel apply, so
+    a GridCost2D builds no entries; at eps = 0 the plain column minimum.
+    Coordinates with b_j = 0 and eps > 0 come back as -inf sentinels;
+    callers must treat those points as inactive.  The row transform of g
+    against a is ctransform_of_f(g, a, C.T, eps).
     """
+    if not epsilon >= 0:
+        raise ValueError("the c-transform requires epsilon >= 0")
     fv = np.asarray(f, dtype=float)
     bw = np.asarray(b.weights if hasattr(b, "weights") else b, dtype=float)
-    c = as_cost(cost)
+    c = as_kernel_cost(cost)
     if fv.size != c.shape[0] or bw.size != c.shape[1]:
         raise ValueError("shape mismatch between f, b and the cost")
-    s = c - fv[:, None]
     if epsilon == 0:
-        return s.min(axis=0)
+        return (as_cost(c) - fv[:, None]).min(axis=0)
     with np.errstate(divide="ignore"):
-        return epsilon * np.log(bw) - epsilon * logsumexp(-s / epsilon, axis=0)
+        return epsilon * np.log(bw) - epsilon * _log_kernels(c, epsilon)[0](fv / epsilon)
 
 
 def dual_value(f, g, a, b, cost, epsilon: float) -> float:
@@ -101,6 +108,8 @@ def dual_value(f, g, a, b, cost, epsilon: float) -> float:
     the dual maximised over the zero-bin coordinates, so it is still a lower
     bound on the primal value.
     """
+    if not epsilon > 0:
+        raise ValueError("dual_value requires epsilon > 0")
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
     c = as_kernel_cost(cost)

@@ -4,8 +4,10 @@
 histogram (value, simplex-valued gradient, Hessian with 1/eps spectral bound).
 `joint_conjugate` treats both marginals as free and exposes the 2/eps-smooth
 joint transform.  All evaluations run in the log domain, and the scalar and
-batched semidual share one implementation, switched only by the cost's
-structure (dense or separable grid).
+batched semidual share one implementation, `_semidual`.  Its kernel applies
+and the Hessian's plan come from `entropic._log_kernels` and
+`core._gibbs_plan`, where the cost's structure (dense or separable grid) is
+the only switch.
 """
 
 from __future__ import annotations
@@ -15,25 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridCost2D, as_cost, as_kernel_cost, grid_kernel_apply, logsumexp
-
-
-def _log_kernels(cost, epsilon):
-    """Log-domain applications of K^T and of K, K = exp(-C/eps), to stacks.
-
-    Each returned function maps an (N, n) or (N, m) stack X to the stack whose
-    row k is log K^T exp(X[k]) or log K exp(X[k]).  The cost's structure is
-    the only switch: a GridCost2D runs `grid_kernel_apply` per row (its kernel
-    is symmetric, so both directions are one apply), and a dense cost, given
-    as its validated entries, runs one broadcast log-sum-exp.
-    """
-    if isinstance(cost, GridCost2D):
-        def apply(X):
-            return np.array([grid_kernel_apply(x, cost, epsilon).ravel() for x in X])
-        return apply, apply
-    logk = -cost / epsilon
-    return (lambda X: logsumexp(logk[None, :, :] + X[:, :, None], axis=1),
-            lambda X: logsumexp(logk[None, :, :] + X[:, None, :], axis=2))
+from .core import _gibbs_plan, as_cost, as_kernel_cost, logsumexp
+# not called here: perfbench/tracing.py still lists this binding as a wrap target
+from .core import grid_kernel_apply  # noqa: F401
+from .entropic import _log_kernels
 
 
 def _semidual(F, B, cost, epsilon, value_only=False):
@@ -112,7 +99,7 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     hessian = None
     if want_hessian:
         log_v = np.log(bw) - log_ktu[0]
-        plan = np.exp(fv[:, None] / epsilon - as_cost(cost) / epsilon + log_v[None, :])
+        plan = _gibbs_plan(fv, epsilon * log_v, as_kernel_cost(cost), epsilon)
         hessian = (np.diag(gradient) - plan @ (plan / bw[None, :]).T) / epsilon
         hessian = 0.5 * (hessian + hessian.T)
     return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)

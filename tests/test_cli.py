@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import smoothot
-from smoothot import fileio
+from smoothot import cli, fileio
+from smoothot.core import GridCost2D
 from smoothot.cli import main
 
 
@@ -221,6 +222,15 @@ class TestBarycenterCommand:
             assert payload["converged"] is True
             assert payload["iterations"] >= 1
         assert outs[0] == outs[1]
+
+    def test_config_rescale_median_keeps_a_grid_cost(self):
+        grid = cli._build_cost({"rescale_median": True}, 16, (4, 4), "cfg.json")
+        assert isinstance(grid, GridCost2D) and "entries" not in vars(grid)
+        assert grid.median() == pytest.approx(1.0, abs=1e-15)
+        dense = cli._build_cost({"rescale_median": True,
+                                 "cost": {"type": "grid1d", "lo": 0.0, "hi": 1.0}},
+                                5, None, "cfg.json")
+        assert np.median(dense) == pytest.approx(1.0, abs=1e-15)
 
     def test_config_validation_enumerates_offenders(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

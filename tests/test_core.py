@@ -213,6 +213,12 @@ class TestGridCost2D:
         assert np.median(gc.entries) == pytest.approx(1.0)
         assert gc.grid_shape == (4, 4)
 
+    def test_rescale_median_keeps_the_grid(self):
+        gc = rescale_median(GridCost2D(6, 5, 0.37))
+        assert isinstance(gc, GridCost2D) and gc.grid_shape == (6, 5)
+        assert gc.median() == pytest.approx(1.0, abs=1e-15)
+        assert "entries" not in vars(gc)
+
     @pytest.mark.parametrize("h, w", [(2, 3), (4, 4), (7, 5), (24, 24)])
     def test_median_without_entries(self, h, w):
         for scale in (1.0, 0.37):

@@ -46,6 +46,19 @@ class TestCTransforms:
         out = ctransform_of_f([0.0, 0.0], [0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], 0.5)
         assert out[0] == -np.inf and np.isfinite(out[1])
 
+    def test_grid_cost_matches_dense_without_entries(self):
+        rng = np.random.default_rng(6)
+        gc = GridCost2D(8, 8)
+        f = rng.normal(size=64)
+        b = random_histogram(rng, 64)
+        out = ctransform_of_f(f, b, gc, 0.05)
+        assert "entries" not in vars(gc)
+        assert np.allclose(out, ctransform_of_f(f, b, gc.entries, 0.05), rtol=0, atol=1e-12)
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            ctransform_of_f([0.0, 0.0], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], -0.5)
+
     def test_sweep_contraction(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -232,6 +245,13 @@ class TestSinkhorn:
         for f0 in (np.zeros(18), np.zeros(20), np.zeros(14), np.full(16, np.nan)):
             with pytest.raises(ValueError):
                 sinkhorn(a, a, GridCost2D(4, 4), 0.5, f0=f0)
+
+    def test_dual_value_requires_positive_epsilon(self):
+        a = b = [0.5, 0.5]
+        c = [[0.0, 1.0], [1.0, 0.0]]
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                dual_value([0.3, -0.2], [0.1, 0.4], a, b, c, eps)
 
     def test_dense_sweep_makes_two_reductions(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothot import legendre
+from smoothot import entropic
 from smoothot.core import GridCost2D
 from smoothot.entropic import ctransform_of_f, sinkhorn
 from smoothot.legendre import (
@@ -82,6 +82,16 @@ class TestSemidualConjugate:
         assert e1.value == pytest.approx(e2.value, abs=1e-12)
         assert np.allclose(e1.gradient, e2.gradient, atol=1e-13)
 
+    def test_grid_hessian_matches_dense_without_entries(self):
+        rng = np.random.default_rng(33)
+        gc = GridCost2D(4, 4)
+        f = rng.normal(size=16)
+        b = random_histogram(rng, 16)
+        e1 = semidual_conjugate(f, b, gc, 0.1, want_hessian=True)
+        assert "entries" not in vars(gc)
+        e2 = semidual_conjugate(f, b, gc.entries, 0.1, want_hessian=True)
+        assert np.allclose(e1.hessian, e2.hessian, rtol=0, atol=1e-12)
+
 
 class TestSemidualBatch:
     def test_batch_of_one_matches_scalar(self):
@@ -130,13 +140,13 @@ class TestSemidualBatch:
     def test_value_only_matches_full_path(self, monkeypatch):
         rng = np.random.default_rng(29)
         applies = []
-        kernel = legendre.grid_kernel_apply
+        kernel = entropic.grid_kernel_apply
 
         def counted(*args, **kwargs):
             applies.append(1)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(legendre, "grid_kernel_apply", counted)
+        monkeypatch.setattr(entropic, "grid_kernel_apply", counted)
         for c in (rng.uniform(size=(6, 6)), GridCost2D(2, 3)):
             for num in (1, 2):
                 F = rng.normal(size=(6, num))
@@ -150,6 +160,15 @@ class TestSemidualBatch:
                 assert grads is None
                 if isinstance(c, GridCost2D):  # K^T u per column, no K apply
                     assert (full_applies, len(applies)) == (2 * num, num)
+
+    def test_grid_batch_builds_no_entries(self):
+        rng = np.random.default_rng(34)
+        gc = GridCost2D(32, 32)
+        F = rng.normal(size=(1024, 2))
+        B = np.column_stack([random_histogram(rng, 1024) for _ in range(2)])
+        values, grads = semidual_conjugate_batch(F, B, gc, 0.01)
+        assert "entries" not in vars(gc)
+        assert np.all(np.isfinite(values)) and grads.shape == (1024, 2)
 
 
 class TestJointConjugate:
