@@ -109,10 +109,6 @@ class Histogram:
             )
         object.__setattr__(self, "weights", _frozen(w))
 
-    @classmethod
-    def normalized(cls, weights) -> "Histogram":
-        return cls(weights, normalize=True)
-
     def __len__(self) -> int:
         return self.weights.size
 

@@ -84,7 +84,8 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
     a GridCost2D builds no entries; at eps = 0 the plain column minimum.
     Coordinates with b_j = 0 and eps > 0 come back as -inf sentinels;
     callers must treat those points as inactive.  The row transform of g
-    against a is ctransform_of_f(g, a, C.T, eps).
+    against a is ctransform_of_f(g, a, C.T, eps); a GridCost2D has no .T
+    and is symmetric, so there the grid itself is passed.
     """
     if not epsilon >= 0:
         raise ValueError("the c-transform requires epsilon >= 0")
@@ -127,7 +128,7 @@ def primal_value(a, b, cost, epsilon: float, coupling) -> float:
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
     p = coupling.matrix if isinstance(coupling, Coupling) else np.asarray(coupling, float)
-    c = as_cost(cost)
+    c = as_kernel_cost(cost)
     if p.shape != c.shape:
         raise ValueError("coupling and cost shapes differ")
     row = np.abs(p.sum(axis=1) - aw).sum()
@@ -136,7 +137,7 @@ def primal_value(a, b, cost, epsilon: float, coupling) -> float:
         raise FeasibilityError(
             f"coupling marginals violate feasibility (l1 residuals {row:.2e}, {col:.2e})"
         )
-    value = float((p * c).sum())
+    value = _plan_cost(p, c)
     if epsilon > 0:
         value -= epsilon * entropy(p)
     return value
@@ -336,4 +337,18 @@ def symmetric_potential(a, cost, epsilon: float, *,
 def transport_cost(coupling, cost) -> float:
     """Linear transport cost <P, C> of a plan."""
     p = coupling.matrix if isinstance(coupling, Coupling) else np.asarray(coupling, float)
-    return float((p * as_cost(cost)).sum())
+    return _plan_cost(p, as_kernel_cost(cost))
+
+
+def _plan_cost(p, c) -> float:
+    """<P, C> for a cost from `as_kernel_cost`, building no grid entries.
+
+    On a GridCost2D, C[(i, j), (k, l)] = row_sq[i, k] + col_sq[j, l], so
+    <P, C> is taken against the plan's sums over (j, l) and over (i, k).
+    """
+    if isinstance(c, GridCost2D):
+        h, w = c.grid_shape
+        p4 = p.reshape(h, w, h, w)
+        return float((p4.sum(axis=(1, 3)) * c.row_sq).sum()
+                     + (p4.sum(axis=(0, 2)) * c.col_sq).sum())
+    return float((p * c).sum())

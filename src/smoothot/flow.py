@@ -29,6 +29,13 @@ from .regularized import (
 )
 
 
+def _step_regularizer(reg: Regularizer, tau_flow: float) -> Regularizer:
+    """tau_flow*J for one JKO step; at tau_flow = 0 a J that is identically zero."""
+    if tau_flow == 0:
+        return make_regularizer("tv_aniso", lam=0.0)
+    return reg.scaled(tau_flow)
+
+
 def jko_step(a_prev, cost, epsilon: float, tau_flow: float, op: LinearOperator,
              reg: Regularizer, *, tol: float = 1e-7, max_iter: int = 20_000,
              accel: bool = True, x0=None, full_output: bool = False,
@@ -44,11 +51,7 @@ def jko_step(a_prev, cost, epsilon: float, tau_flow: float, op: LinearOperator,
     if np.any(aw <= 0):
         raise ValueError("jko_step requires a strictly positive previous iterate")
     problem = BarycenterProblem(aw[:, None], np.ones(1), cost, epsilon)
-    if tau_flow == 0:
-        step_reg = make_regularizer("tv_aniso", lam=0.0)  # J identically zero
-    else:
-        step_reg = reg.scaled(tau_flow)
-    return solve_regularized(problem, op, step_reg, accel=accel,
+    return solve_regularized(problem, op, _step_regularizer(reg, tau_flow), accel=accel,
                              tol=tol, max_iter=max_iter, x0=x0,
                              full_output=full_output, **solver_kw)
 
@@ -79,11 +82,7 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     if steps < 1:
         raise ValueError("steps must be at least 1")
     current = as_weights(a0, "a0")
-    if tau_flow == 0:
-        energy = lambda z: 0.0
-    else:
-        reg_step = reg.scaled(tau_flow)
-        energy = lambda z: reg_step.value(z)
+    energy = _step_regularizer(reg, tau_flow).value
     iterates = []
     records = []
     state = None

@@ -1,7 +1,7 @@
 """Regularized barycenters min_a sum_k lambda_k W_eps(a, b_k) + J(A a).
 
 The dual eliminates the last potential and is solved by forward-backward
-splitting (optionally FISTA-accelerated with restart on objective increase):
+splitting (plain, or FISTA with restart on objective increase, in one loop):
 a gradient step on the smooth semidual terms followed by the proximal map of
 the conjugate regularizer J*.  Ships finite-difference grid/graph gradients
 and closed-form proxes for the usual regularizers.
@@ -314,15 +314,17 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     term and the operator norm bound; with backtrack=True (default) the step
     adapts to the local curvature: it grows between iterations and shrinks
     until the standard quadratic upper model holds, which certifies descent
-    of the full objective at every accepted step.  accel=True switches to
-    FISTA with restart on objective increase.  Requires lambda_N != 0: if
+    of the full objective at every accepted step.  accel=True runs FISTA
+    with restart on objective increase; accel=False is the same loop with
+    the momentum parameter fixed at 1, plain FB.  Requires lambda_N != 0: if
     the last weight vanishes the inputs are permuted internally to move a
     nonzero weight last (the barycenter is permutation invariant).
 
     Convergence is declared when the proximal-gradient residual
     max|x+ - x|/step drops below tol, or when the best dual objective has
     not improved relatively by obj_tol over the last obj_window iterations
-    (set obj_tol=None to require the residual test alone).
+    (set obj_tol=None to require the residual test alone).  `objectives`
+    holds the dual objective at x_1 ... x_K, ending at the returned state.
     """
     if not problem.epsilon > 0:
         raise ValueError("the regularized solver requires epsilon > 0")
@@ -415,48 +417,32 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
                 return cand, cand_f, trial
             trial *= 0.5
 
+    def step_from(point):
+        # one forward-backward step from point: its iterate, F there, the step
+        fval, grad, _ = smooth_eval(point)
+        x_new, fx_new, used = fb_step(point, fval, grad, trial_step)
+        return x_new, fx_new + reg.conjugate(unpack(x_new)[1]), used
+
     grow = 1.3 if backtrack else 1.0
     trial_step = step
-    if accel:
-        y = x.copy()
-        t_mom = 1.0
-        obj_prev = np.inf
-        for it in range(max_iter):
-            fy, grad, _ = smooth_eval(y)
-            x_new, fx_new, used = fb_step(y, fy, grad, trial_step)
-            _, g_new = unpack(x_new)
-            obj_new = fx_new + reg.conjugate(g_new)
-            if obj_new > obj_prev:  # restart the momentum, re-step from x
-                y = x.copy()
-                t_mom = 1.0
-                fy, grad, _ = smooth_eval(y)
-                x_new, fx_new, used = fb_step(y, fy, grad, trial_step)
-                _, g_new = unpack(x_new)
-                obj_new = fx_new + reg.conjugate(g_new)
-            objectives.append(obj_new)
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
-            residual = float(np.abs(x_new - x).max()) / used
-            trial_step = min(used * grow, 1e4 * step)
-            x, t_mom, obj_prev = x_new, t_next, obj_new
-            iterations = it + 1
-            if residual <= tol or stagnated(obj_new):
-                converged = True
-                break
-    else:
-        for it in range(max_iter):
-            fval, grad, _ = smooth_eval(x)
-            _, g = unpack(x)
-            obj_now = fval + reg.conjugate(g)
-            objectives.append(obj_now)
-            x_new, _, used = fb_step(x, fval, grad, trial_step)
-            residual = float(np.abs(x_new - x).max()) / used
-            trial_step = min(used * grow, 1e4 * step)
-            x = x_new
-            iterations = it + 1
-            if residual <= tol or stagnated(obj_now):
-                converged = True
-                break
+    y = x
+    t_mom = 1.0
+    obj_prev = np.inf
+    for it in range(max_iter):
+        x_new, obj_new, used = step_from(y)
+        if accel and obj_new > obj_prev:  # restart the momentum, re-step from x
+            y, t_mom = x, 1.0
+            x_new, obj_new, used = step_from(y)
+        objectives.append(obj_new)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if accel else 1.0
+        y = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
+        residual = float(np.abs(x_new - x).max()) / used
+        trial_step = min(used * grow, 1e4 * step)
+        x, t_mom, obj_prev = x_new, t_next, obj_new
+        iterations = it + 1
+        if residual <= tol or stagnated(obj_new):
+            converged = True
+            break
 
     _, _, delta_last = smooth_eval(x)
     result = RegularizedResult(

@@ -415,6 +415,20 @@ class TestPrimalValue:
         primal = primal_value(a, b, c, 0.2, res.coupling)
         assert abs(primal - res.value) <= 1e-6 * (1 + abs(primal))
 
+    def test_grid_cost_builds_no_entries(self):
+        # a non-square grid with a scale, so a swapped axis factor shows
+        rng = np.random.default_rng(15)
+        a = random_histogram(rng, 20)
+        b = random_histogram(rng, 20)
+        gc = GridCost2D(4, 5, scale=0.7)
+        res = sinkhorn(a, b, gc, 0.05)
+        primal = primal_value(a, b, gc, 0.05, res.coupling)
+        linear = transport_cost(res.coupling, gc)
+        assert "entries" not in vars(gc)
+        assert primal == pytest.approx(
+            primal_value(a, b, gc.entries, 0.05, res.coupling), abs=1e-12)
+        assert linear == pytest.approx(transport_cost(res.coupling, gc.entries), abs=1e-12)
+
     def test_infeasible_coupling_rejected(self):
         p = np.array([[0.6, 0.4]])
         with pytest.raises(FeasibilityError):

@@ -3,7 +3,13 @@ import pytest
 
 from smoothot.lp_oracle import exact_ot, exact_wbp, quantile_coupling_1d
 
-from oracles import brute_force_wbp_value, ipf_coupling, random_histogram
+from oracles import (
+    brute_force_wbp_value,
+    ipf_coupling,
+    monotone_cost_1d,
+    random_histogram,
+    simplex_mesh,
+)
 
 
 class TestExactOT:
@@ -128,14 +134,16 @@ class TestExactWBP:
         lam = np.array([0.5, 0.5])
         res = exact_wbp(B, lam, c)
 
-        def objective(a):
-            if a.min() <= 0:  # quantile oracle handles zero bins fine
-                pass
-            total = 0.0
-            for k in range(2):
-                _, v = quantile_coupling_1d(a, pts, B[:, k], pts, 2)
-                total += lam[k] * v
-            return total
+        def objective(A):  # one mesh point per row
+            return sum(lam[k] * monotone_cost_1d(A, pts, B[:, k], pts, 2) for k in range(2))
+
+        # the vectorized formula against the north-west-corner oracle
+        mesh = simplex_mesh(0.01)
+        sample = mesh[np.random.default_rng(48).choice(len(mesh), 300, replace=False)]
+        for a, value in zip(sample, objective(sample)):
+            ref = sum(lam[k] * quantile_coupling_1d(a, pts, B[:, k], pts, 2)[1]
+                      for k in range(2))
+            assert abs(value - ref) <= 1e-12
 
         brute = brute_force_wbp_value(B, lam, objective, step=0.01)
         assert res.value <= brute + 1e-9           # LP optimum dominates the mesh

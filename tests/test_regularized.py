@@ -3,6 +3,7 @@ import pytest
 
 from smoothot.barycenter import BarycenterProblem, lbfgs_direction, solve_barycenter
 from smoothot.core import GridCost2D, IterationLimitError
+from smoothot.legendre import semidual_conjugate_batch
 from smoothot.regularized import (
     LinearOperator,
     estimate_norm,
@@ -249,6 +250,27 @@ class TestSolveRegularized:
         diffs = np.diff(res.objectives)
         assert len(diffs) >= 500
         assert (diffs <= 1e-12).all()
+
+    @pytest.mark.parametrize("accel", [False, True])
+    @pytest.mark.parametrize("max_iter", [25, 20_000])
+    def test_last_objective_is_at_the_returned_state(self, accel, max_iter):
+        # the trace ends on F of the returned iterate, stopped by the
+        # iteration limit or by the solver's own test
+        B = two_shapes(6, 6)
+        cost = GridCost2D(6, 6)
+        prob = BarycenterProblem(B, [0.4, 0.6], cost, 4.0 / 36)
+        reg = make_regularizer("tv_iso", lam=0.5)
+        try:
+            res = solve_regularized(prob, grid_gradient((6, 6)), reg, accel=accel,
+                                    tol=1e-9, max_iter=max_iter, obj_tol=1e-9,
+                                    full_output=True)
+        except IterationLimitError as exc:
+            res = exc.best
+        assert res.iterations == len(res.objectives)
+        fhead, g = res.state
+        values, _ = semidual_conjugate_batch(np.column_stack([fhead, res.f_last]), B,
+                                             cost, prob.epsilon)
+        assert res.objectives[-1] == float(np.dot(prob.weights, values)) + reg.conjugate(g)
 
     def test_output_on_simplex(self):
         B = two_shapes(6, 6)
