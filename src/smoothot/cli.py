@@ -38,7 +38,12 @@ from .regularized import (
     make_regularizer,
     solve_regularized,
 )
-from .semidiscrete import DiscreteTarget, SampledMeasure, solve_semidiscrete
+from .semidiscrete import (
+    DiscreteTarget,
+    SampledMeasure,
+    semidiscrete_objective_grad,
+    solve_semidiscrete,
+)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -406,7 +411,8 @@ def cmd_semidiscrete(args) -> int:
         )
     except IterationLimitError as exc:
         g = exc.best
-        info = {"iterations": exc.iterations, "grad_norm": exc.residual, "values": []}
+        value, _ = semidiscrete_objective_grad(g, source, target, epsilon)
+        info = {"iterations": exc.iterations, "grad_norm": exc.residual, "values": [value]}
         code = EXIT_NO_CONVERGENCE
         print(f"semidiscrete: {exc}", file=sys.stderr)
     wall = time.perf_counter() - start
@@ -416,7 +422,7 @@ def cmd_semidiscrete(args) -> int:
 
         _, cells = laguerre_assign(g, source, target)
         _json_out({
-            "dual_value": info["values"][-1] if info["values"] else None,
+            "dual_value": info["values"][-1],
             "grad_norm": info["grad_norm"],
             "iterations": info["iterations"],
             "cell_masses": cells.tolist(),

@@ -2,8 +2,10 @@
 
 The source measure is a finite quadrature (grid or Monte Carlo samples); the
 target is a weighted discrete support.  The dual objective is concave with a
-closed-form (super)gradient from smoothed Laguerre-cell indicators, maximized
-by plain gradient ascent with a mean-zero gauge fix.
+closed-form (super)gradient from smoothed Laguerre-cell indicators and, at
+epsilon > 0, a closed-form Hessian (the semidual's).  It is maximized by damped
+Newton at epsilon > 0 and by supergradient ascent at epsilon = 0, both with a
+mean-zero gauge fix and a cost matrix built once per solve.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .core import IterationLimitError, SIMPLEX_ATOL, softmin, squared_euclidean
+
+_MAX_HALVINGS = 60  # Newton line search: a step t < 2^-60 cannot raise the dual
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,48 @@ def laguerre_assign(g, source: SampledMeasure, target: DiscreteTarget):
     return assign, masses
 
 
+def _dual_terms(g, cost, weights, masses, epsilon):
+    """Dual value, gradient and softmax cells at g for a (k, m) cost matrix.
+
+    The one fused shift/softmax of the module.  Returns the value, the
+    gradient b - (cell masses) and the (k, m) cell-membership matrix chi
+    (rows sum to 1) at epsilon > 0; at epsilon = 0 the cells are hard
+    Laguerre cells, the gradient is a supergradient and chi is None.
+    """
+    scores = cost - g[None, :]
+    chi = None
+    if epsilon == 0:
+        mins = scores.min(axis=1)
+        assign = np.argmin(scores, axis=1)
+        cells = np.bincount(assign, weights=weights, minlength=g.size)
+    elif epsilon > 0:
+        shift = scores.min(axis=1, keepdims=True)
+        e = np.exp(-(scores - shift) / epsilon)
+        z = e.sum(axis=1, keepdims=True)
+        mins = (shift - epsilon * np.log(z)).ravel()
+        chi = e / z
+        cells = weights @ chi
+    else:
+        raise ValueError("epsilon must be nonnegative")
+    value = float(np.dot(weights, mins) + np.dot(g, masses))
+    return value, masses - cells, chi
+
+
+def _negative_hessian(chi, weights, epsilon):
+    """Negative Hessian (1/eps)(diag(w chi) - chi^T diag(w) chi) of the dual.
+
+    The dual is <g, b> minus the semidual transform of g with marginal w and
+    cost C^T, up to a constant, so this is the same matrix as
+    `legendre.semidual_conjugate(g, w, C.T, eps, want_hessian=True).hessian`.
+    Rows of chi sum to 1, so it is the Laplacian of the cell-overlap weights
+    A = chi^T diag(w) chi; the diagonal is summed from A's off-diagonal
+    entries, which keeps it PSD with an exactly zero row for an empty cell.
+    """
+    overlap = (chi.T * weights) @ chi
+    np.fill_diagonal(overlap, 0.0)
+    return (np.diag(overlap.sum(axis=1)) - overlap) / epsilon
+
+
 def semidiscrete_objective_grad(g, source: SampledMeasure, target: DiscreteTarget,
                                 epsilon: float):
     """Dual objective E(g) = sum_i w_i softmin_j(c(x_i,y_j) - g_j) + <g, b>.
@@ -110,57 +156,110 @@ def semidiscrete_objective_grad(g, source: SampledMeasure, target: DiscreteTarge
     gv = np.asarray(g, dtype=float)
     if gv.size != target.masses.size:
         raise ValueError("g must have one entry per target site")
-    scores = target.cost_to(source.points) - gv[None, :]
-    if epsilon == 0:
-        mins = scores.min(axis=1)
-        assign = np.argmin(scores, axis=1)
-        cells = np.bincount(assign, weights=source.weights, minlength=gv.size)
-    elif epsilon > 0:
-        shift = scores.min(axis=1, keepdims=True)
-        e = np.exp(-(scores - shift) / epsilon)
-        mins = shift.ravel() - epsilon * np.log(e.sum(axis=1))
-        chi = e / e.sum(axis=1, keepdims=True)
-        cells = source.weights @ chi
-    else:
-        raise ValueError("epsilon must be nonnegative")
-    value = float(np.dot(source.weights, mins) + np.dot(gv, target.masses))
-    return value, target.masses - cells
+    value, grad, _ = _dual_terms(gv, target.cost_to(source.points), source.weights,
+                                 target.masses, epsilon)
+    return value, grad
 
 
 def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
                        epsilon: float, *, step: float = None, tol: float = 1e-9,
                        max_iter: int = 50_000, g0=None, full_output: bool = False):
-    """Gradient ascent on the concave semi-discrete dual.
+    """Maximize the concave semi-discrete dual by damped Newton (eps > 0).
 
-    Default step is epsilon for epsilon > 0 (the objective is 1/eps smooth)
-    and step0/sqrt(iter) for epsilon = 0.  The potential is gauge-fixed to
-    mean zero every iteration, since the objective is shift invariant.
+    At epsilon > 0 each iteration solves the Newton system of the smooth dual
+    (Kitagawa, Merigot & Thibert, arXiv:1603.05579) and backtracks on the
+    dual value (Armijo).  `step` is the gradient-ascent step: at epsilon > 0
+    it is used only where the Newton direction fails to ascend (default
+    epsilon, since the dual is 1/eps smooth); at epsilon = 0 the solver is
+    the supergradient ascent g += step/sqrt(iter) * grad (default step 1).
+    The potential is gauge-fixed to mean zero every iteration, since the
+    objective is shift invariant.  The cost matrix is built once per solve.
     Stops when the gradient sup-norm falls below tol, i.e. when the cell
-    masses match the target masses to that accuracy.
+    masses match the target masses to that accuracy.  `full_output` adds
+    the iterations, final gradient norm, value trace and dual evaluations.
     """
     m = target.masses.size
     g = np.zeros(m) if g0 is None else np.asarray(g0, dtype=float).copy()
+    if g.size != m:
+        raise ValueError("g0 must have one entry per target site")
     g -= g.mean()
     base_step = step if step is not None else (epsilon if epsilon > 0 else 1.0)
     if not base_step > 0:
         raise ValueError("step must be positive")
 
+    cost = target.cost_to(source.points)
+    weights, masses = source.weights, target.masses
+    value, grad, chi = _dual_terms(g, cost, weights, masses, epsilon)
+    evaluations = 1
     history = []
-    grad_norm = np.inf
     for it in range(1, max_iter + 1):
-        value, grad = semidiscrete_objective_grad(g, source, target, epsilon)
         grad_norm = float(np.abs(grad).max(initial=0.0))
         history.append(value)
         if grad_norm <= tol:
             break
-        tau = base_step if epsilon > 0 else base_step / np.sqrt(it)
-        g = g + tau * grad
-        g -= g.mean()
+        if epsilon > 0:
+            accepted = _newton_step(g, value, grad, chi, cost, weights, masses,
+                                    epsilon, base_step)
+            if accepted is None:
+                raise IterationLimitError(
+                    f"semidiscrete solve stalled at iteration {it}: no step "
+                    f"along the search direction raises the dual value",
+                    best=g, residual=grad_norm, iterations=it,
+                )
+            g, value, grad, chi, trials = accepted
+            evaluations += trials
+        else:
+            tau = base_step / np.sqrt(it)
+            g = g + tau * grad
+            g -= g.mean()
+            value, grad, _ = _dual_terms(g, cost, weights, masses, epsilon)
+            evaluations += 1
     else:
         raise IterationLimitError(
-            f"semidiscrete ascent did not reach tol={tol:g} in {max_iter} iterations",
-            best=g, residual=grad_norm, iterations=max_iter,
+            f"semidiscrete solve did not reach tol={tol:g} in {max_iter} iterations",
+            best=g, residual=float(np.abs(grad).max(initial=0.0)), iterations=max_iter,
         )
     if full_output:
-        return g, {"iterations": it, "grad_norm": grad_norm, "values": history}
+        return g, {"iterations": it, "grad_norm": grad_norm, "values": history,
+                   "evaluations": evaluations}
     return g
+
+
+def _newton_step(g, value, grad, chi, cost, weights, masses, epsilon, step):
+    """One damped Newton step on the dual at epsilon > 0.
+
+    Solves (H + rho I + 11^T/m) d = grad for the negative Hessian H.  The
+    11^T/m term fixes the gauge: grad sums to zero, so d does too.  The
+    ridge rho = |grad|^2 tr(H)/m keeps the system nonsingular when a cell
+    mass underflows to 0, and vanishes quadratically at the optimum, which
+    keeps Newton's local rate; it is small against H's mean curvature
+    tr(H)/m, so an empty cell's potential takes long steps that the line
+    search cuts back.  Where the system is still singular (H = 0: every
+    sample deep inside one cell) or d does not ascend, the direction is the
+    ascent step * grad.  t is halved until E(g + t d) passes Armijo's test,
+    allowing round-off in the value.  Returns the accepted iterate, its
+    value, gradient and cells, and the number of dual evaluations made, or
+    None if no t >= 2^-_MAX_HALVINGS passes (a non-finite dual, say).
+    """
+    m = g.size
+    sq = float(grad @ grad)
+    system = _negative_hessian(chi, weights, epsilon)
+    system[np.diag_indices(m)] += sq * np.trace(system) / m
+    system += 1.0 / m
+    try:
+        direction = np.linalg.solve(system, grad)
+        slope = float(grad @ direction)
+    except np.linalg.LinAlgError:
+        slope = np.nan
+    if not slope > 0:
+        direction, slope = step * grad, step * sq
+    slack = 8 * np.finfo(float).eps * (abs(value) + np.abs(g).max())
+    t = 1.0
+    for trials in range(1, _MAX_HALVINGS + 2):
+        trial = g + t * direction
+        trial -= trial.mean()
+        t_value, t_grad, t_chi = _dual_terms(trial, cost, weights, masses, epsilon)
+        if t_value >= value + 1e-4 * t * slope - slack:
+            return trial, t_value, t_grad, t_chi, trials
+        t *= 0.5
+    return None

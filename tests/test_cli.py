@@ -11,6 +11,7 @@ import smoothot
 from smoothot import cli, fileio
 from smoothot.core import GridCost2D
 from smoothot.cli import main
+from smoothot.semidiscrete import DiscreteTarget, SampledMeasure, semidiscrete_objective_grad
 
 
 def write_vec(path, values):
@@ -364,6 +365,29 @@ class TestSemidiscreteCommand:
                         "--out-csv", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_iteration_limit_reports_value_at_best(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "epsilon": 0.1,
+            "tol": 1e-12,
+            "max_iter": 1,
+            "source": {"type": "grid1d", "n": 200, "lo": -1.0, "hi": 1.0},
+        }))
+        target = tmp_path / "target.csv"
+        fileio.write_matrix(target, [[-0.5, 0.3], [0.5, 0.7]])
+        out = tmp_path / "g.csv"
+        summary = tmp_path / "s.json"
+        assert run(["semidiscrete", "--config", cfg, "--target", target,
+                    "--out-csv", out, "--summary", summary]) == cli.EXIT_NO_CONVERGENCE
+        payload = json.loads(summary.read_text())
+        best = fileio.read_vector(out)
+        expected, grad = semidiscrete_objective_grad(
+            best, SampledMeasure.uniform_grid_1d(200, -1.0, 1.0),
+            DiscreteTarget([[-0.5], [0.5]], [0.3, 0.7]), 0.1)
+        assert payload["dual_value"] == expected
+        assert payload["grad_norm"] == np.abs(grad).max()
+        assert payload["iterations"] == 1 and payload["converged"] is False
 
 
 class TestStartup:

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from smoothot.core import IterationLimitError
+from smoothot.legendre import semidual_conjugate
 from smoothot.semidiscrete import (
     DiscreteTarget,
     SampledMeasure,
+    _dual_terms,
+    _negative_hessian,
     gbar_transform,
     laguerre_assign,
     semidiscrete_objective_grad,
@@ -21,6 +24,14 @@ def random_instance(rng, k=40, m=5, d=2):
     sites = rng.normal(size=(m, d))
     masses = rng.dirichlet(np.ones(m) + 1.0)
     return SampledMeasure(points, weights), DiscreteTarget(sites, masses)
+
+
+def smoothed_cells(g, source, target, epsilon):
+    """Softmax cell masses from plain numpy, independent of the module."""
+    sq = ((source.points[:, None, :] - target.sites[None, :, :]) ** 2).sum(axis=2)
+    s = (np.asarray(g)[None, :] - sq) / epsilon
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return source.weights @ (e / e.sum(axis=1, keepdims=True))
 
 
 class TestGbarTransform:
@@ -155,6 +166,38 @@ class TestObjectiveGrad:
             assert e0 <= e_eps + eps * np.log(5) + 1e-12
 
 
+class TestNewtonHessian:
+    def test_matches_semidual_hessian(self):
+        rng = np.random.default_rng(103)
+        for _ in range(10):
+            src, tgt = random_instance(rng, k=int(rng.integers(5, 40)),
+                                       m=int(rng.integers(2, 8)))
+            m = tgt.masses.size
+            eps = float(rng.uniform(0.05, 2.0))
+            g = rng.normal(size=m)
+            cost = tgt.cost_to(src.points)
+            _, _, chi = _dual_terms(g, cost, src.weights, tgt.masses, eps)
+            hessian = -_negative_hessian(chi, src.weights, eps)
+            semidual = semidual_conjugate(g, src.weights, cost.T, eps, want_hessian=True)
+            assert np.abs(hessian - (-semidual.hessian)).max() <= 1e-10
+
+    def test_matches_finite_differences_of_the_gradient(self):
+        rng = np.random.default_rng(104)
+        for eps in (0.1, 0.5):
+            src, tgt = random_instance(rng)
+            g = rng.normal(size=5)
+            _, _, chi = _dual_terms(g, tgt.cost_to(src.points), src.weights,
+                                    tgt.masses, eps)
+            hessian = -_negative_hessian(chi, src.weights, eps)
+            h = 1e-6
+            num = np.column_stack([
+                (semidiscrete_objective_grad(g + h * e, src, tgt, eps)[1]
+                 - semidiscrete_objective_grad(g - h * e, src, tgt, eps)[1]) / (2 * h)
+                for e in np.eye(5)
+            ])
+            assert rel_err(num, hessian) <= 1e-6
+
+
 class TestSolveSemidiscrete:
     def test_symmetric_instance(self):
         src = SampledMeasure.uniform_grid_1d(200, -1.0, 1.0)
@@ -188,8 +231,94 @@ class TestSolveSemidiscrete:
     def test_iteration_limit(self):
         src = SampledMeasure.uniform_grid_1d(50, -1.0, 1.0)
         tgt = DiscreteTarget([[-0.7], [0.1], [0.4]], [0.2, 0.3, 0.5])
-        with pytest.raises(IterationLimitError):
+        with pytest.raises(IterationLimitError) as info:
             solve_semidiscrete(src, tgt, 0.3, tol=1e-15, max_iter=3)
+        exc = info.value
+        assert exc.iterations == 3
+        assert exc.best.shape == (3,) and abs(exc.best.mean()) <= 1e-15
+        _, grad = semidiscrete_objective_grad(exc.best, src, tgt, 0.3)
+        assert exc.residual == np.abs(grad).max() > 1e-15
+
+    def test_newton_iterations_on_a_jittered_lattice(self):
+        # 2000 uniform samples against a jittered 4 x 4 lattice, eps = 0.1: the
+        # gradient ascent took ~600 iterations here
+        rng = np.random.default_rng(105)
+        points = rng.uniform(size=(2000, 2))
+        centers = (np.arange(4) + 0.5) / 4
+        lattice = np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+        sites = lattice + rng.uniform(-0.03, 0.03, size=lattice.shape)
+        masses = rng.dirichlet(np.ones(16)) + 0.8 / 16
+        src = SampledMeasure(points, np.full(2000, 1.0 / 2000))
+        tgt = DiscreteTarget(sites, masses / masses.sum())
+        g, info = solve_semidiscrete(src, tgt, 0.1, tol=1e-9, full_output=True)
+        assert info["iterations"] <= 10
+        assert np.abs(tgt.masses - smoothed_cells(g, src, tgt, 0.1)).max() <= 1e-9
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_far_site_with_underflowing_cell(self, eps):
+        # at g = 0 the site (10, 10) gets exactly zero mass, which leaves the
+        # plain Newton system singular
+        rng = np.random.default_rng(107)
+        src = SampledMeasure(rng.uniform(size=(300, 2)), np.full(300, 1.0 / 300))
+        sites = [[0.25, 0.25], [0.75, 0.3], [0.4, 0.8], [10.0, 10.0]]
+        tgt = DiscreteTarget(sites, [0.3, 0.3, 0.2, 0.2])
+        assert smoothed_cells(np.zeros(4), src, tgt, eps)[3] == 0.0
+        g, info = solve_semidiscrete(src, tgt, eps, tol=1e-9, max_iter=100,
+                                     full_output=True)
+        assert info["grad_norm"] <= 1e-9
+        assert np.abs(smoothed_cells(g, src, tgt, eps) - tgt.masses).max() <= 1e-9
+
+    def test_tolerance_at_round_off(self):
+        # the last Newton steps gain less than the value's round-off; a line
+        # search that cannot accept them stalls for several iterations
+        src = SampledMeasure.uniform_grid_1d(50, -1.0, 1.0)
+        tgt = DiscreteTarget([[-0.7], [0.1], [0.4]], [0.2, 0.3, 0.5])
+        _, info = solve_semidiscrete(src, tgt, 0.1, tol=1e-14, full_output=True)
+        assert info["iterations"] <= 6 and info["evaluations"] <= 6
+
+    def test_non_finite_dual_stops_at_once(self):
+        def nan_cost(x, y):
+            c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+            c[0] = np.nan
+            return c
+
+        src = SampledMeasure.uniform_grid_1d(20, -1.0, 1.0)
+        tgt = DiscreteTarget([[-0.4], [0.4]], [0.5, 0.5], cost=nan_cost)
+        with pytest.raises(IterationLimitError) as info:
+            solve_semidiscrete(src, tgt, 0.1)
+        assert info.value.iterations == 1
+        assert np.array_equal(info.value.best, np.zeros(2))
+
+    def test_hard_cells_take_ascent_steps(self):
+        # at eps = 0.01 every sample sits deep inside one cell, so the Hessian
+        # is exactly 0 and the solver takes the ascent step eps * grad
+        rng = np.random.default_rng(102)
+        pts = np.vstack([rng.normal(-2.0, 0.05, size=(30, 1)),
+                         rng.normal(2.0, 0.05, size=(20, 1))])
+        src = SampledMeasure(pts, np.full(50, 1.0 / 50))
+        tgt = DiscreteTarget([[-2.0], [2.0]], [0.5, 0.5])
+        with pytest.raises(IterationLimitError) as info:
+            solve_semidiscrete(src, tgt, 0.01, max_iter=5)
+        g = np.zeros(2)
+        for _ in range(5):
+            g = g + 0.01 * semidiscrete_objective_grad(g, src, tgt, 0.01)[1]
+            g -= g.mean()
+        assert np.allclose(info.value.best, g, rtol=0.0, atol=1e-15)
+
+    def test_zero_weight_samples(self):
+        rng = np.random.default_rng(108)
+        points = rng.uniform(size=(60, 2))
+        weights = rng.dirichlet(np.ones(60))
+        weights[::3] = 0.0
+        weights /= weights.sum()
+        tgt = DiscreteTarget([[0.2, 0.3], [0.7, 0.6], [0.5, 0.1]], [0.5, 0.3, 0.2])
+        src = SampledMeasure(points, weights)
+        g = solve_semidiscrete(src, tgt, 0.05, tol=1e-10)
+        assert np.abs(smoothed_cells(g, src, tgt, 0.05) - tgt.masses).max() <= 1e-10
+        kept = weights > 0
+        g_kept = solve_semidiscrete(SampledMeasure(points[kept], weights[kept]), tgt, 0.05,
+                                    tol=1e-10)
+        assert np.abs(g - g_kept).max() <= 1e-8
 
     def test_custom_cost_callable(self):
         def l1_cost(x, y):
