@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import Histogram, IterationLimitError, as_cost, as_kernel_cost, as_weights
-from .entropic import ctransform_of_f, sinkhorn
+from .entropic import _log_kernels, ctransform_of_f, sinkhorn
 from .legendre import semidual_conjugate_batch
 
 
@@ -145,10 +145,11 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     hook = step_rule if callable(step_rule) else None
     if not callable(step_rule) and step_rule not in ("fixed", "backtracking"):
         raise ValueError("step_rule must be 'fixed', 'backtracking', or a callable")
+    kernels = _log_kernels(problem.cost, problem.epsilon)
 
     def evaluate(fmat):
         values, deltas = semidual_conjugate_batch(
-            fmat, problem.histograms, problem.cost, problem.epsilon
+            fmat, problem.histograms, problem.cost, problem.epsilon, _kernels=kernels
         )
         return float(np.dot(lam, values)), deltas
 

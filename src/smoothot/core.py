@@ -1,8 +1,8 @@
 """Shared numeric types and the simplex/entropy/soft-minimum/log-sum-exp primitives.
 
 Two log-domain kernels live here: `logsumexp`, the dense reduction, and
-`grid_kernel_apply`, the Gibbs kernel of a separable grid cost as two shifted
-GEMMs with an exact `logsumexp` fallback for sums that underflow.
+`grid_kernel_apply`, a separable grid cost's Gibbs kernel as shifted GEMMs
+with the exact fallback below `_UNDERFLOW` that the dense apply shares.
 
 Everything here is a pure function of its inputs; the wrapper types freeze
 their arrays after validation, so values can be shared freely across threads.
@@ -293,8 +293,8 @@ def _kth_pair_sum(x, y, k: int) -> float:
     return float(np.int64(lo).view(np.float64))
 
 
-# shifted grid-kernel sums below this are recomputed in the log domain
-_GRID_UNDERFLOW = 1e-250
+# shifted kernel sums below this are recomputed in the log domain
+_UNDERFLOW = 1e-250
 
 
 def grid_kernel_apply(logvals, cost: GridCost2D, epsilon: float) -> np.ndarray:
@@ -305,22 +305,26 @@ def grid_kernel_apply(logvals, cost: GridCost2D, epsilon: float) -> np.ndarray:
     pass for the separable squared-Euclidean grid cost (the kernel is
     symmetric on the grid).  Each 1-D pass shifts every column of the image
     by its own maximum m (no shift for an all -inf column) and takes
-    S = exp(-C_axis/epsilon).T @ exp(x - m), so out = log S + m.  An output
-    whose shifted sum S falls below 1e-250 (factors of the kernel underflowed,
-    or the column is empty) is recomputed exactly with `logsumexp` over its
-    own column; every product lost to underflow is below 2.2e-308, so at
-    h, w <= 10**3 the sums that pass the bound drop under 1 ulp.  -inf
-    entries (log 0 bins) are allowed: an empty sum gives -inf, without
-    warnings.
+    S = exp(-C_axis/epsilon).T @ exp(x - m) (factors kept on the cost), so
+    out = log S + m.  An output whose shifted sum S falls below 1e-250
+    (factors of the kernel underflowed, or the column is empty) is recomputed
+    exactly with `logsumexp` over its own column; every product lost to
+    underflow is below 2.2e-308, so at h, w <= 10**3 the sums that pass the
+    bound drop under 1 ulp.  -inf entries (log 0 bins) are allowed: an empty
+    sum gives -inf, without warnings.
     """
     h, w = cost.grid_shape
     x = np.asarray(logvals, dtype=float).reshape(h, w)
-    for sq in (cost.row_sq, cost.col_sq):
-        kern = -sq / epsilon
+    cached = cost.__dict__.get("_factors", (None,))
+    if cached[0] != epsilon:  # one slot: the factors at the last epsilon
+        kerns = [-sq / epsilon for sq in (cost.row_sq, cost.col_sq)]
+        cached = (epsilon, [(kern, np.exp(kern)) for kern in kerns])
+        object.__setattr__(cost, "_factors", cached)
+    for kern, exp_kern in cached[1]:
         m = x.max(axis=0)
         m[~np.isfinite(m)] = 0.0  # an infinite maximum is no shift
-        s = np.exp(kern).T @ np.exp(x - m)
-        low = s < _GRID_UNDERFLOW
+        s = exp_kern.T @ np.exp(x - m)
+        low = s < _UNDERFLOW
         s[low] = 1.0  # placeholder for the exact fallback below
         out = np.log(s) + m
         j, c = np.nonzero(low)

@@ -3,9 +3,9 @@
 Log-domain Sinkhorn iterations built from soft c-transforms, plus the primal
 and dual objective values.  Iterations act on the potentials (f, g) directly,
 never on the scaling vectors, so small epsilon does not overflow.  A sweep on
-a dense cost makes 2 log-sum-exp reductions: each c-transform's reduction also
-gives one marginal of the plan, so the residual check costs none of its own.
-A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  Sweeps are
+a dense cost makes 2 `dense_kernel_apply` calls: each c-transform's apply
+also gives one marginal of the plan, so the residual check costs none of its
+own.  A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  Sweeps are
 overrelaxed, g <- g + w (T_b(f) - g) and then f <- f + w (T_a(g) - f), with
 w = 1 for the first 20 sweeps and then w = min(cap, 2/(1 + sqrt(1 - theta)))
 from the contraction rate theta of the marginal residual at w = 1.  A sweep
@@ -17,9 +17,10 @@ the last sweep's row marginal and the plan is a factored `Coupling.gibbs`, so
 on a grid no n^2 array exists unless the plan's matrix is asked for.  A
 zero-mass bin is a log 0 = -inf mask in the kernel input on either cost path.
 `_log_kernels`, shared with `legendre`, holds the package's one kernel switch
-on the cost's structure.  On a symmetric cost, `symmetric_potential` finds
-the self-transport potential of W_eps(a, a) by an averaged fixed point, as
-a warm start for `sinkhorn`.
+on the cost's structure; either path's apply is a shifted matrix product
+with an exact `logsumexp` fallback.  On a symmetric cost,
+`symmetric_potential` finds the self-transport potential of W_eps(a, a) by
+an averaged fixed point, as a warm start for `sinkhorn`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _UNDERFLOW,
     Coupling,
     FeasibilityError,
     GridCost2D,
@@ -59,7 +61,7 @@ def _log_kernels(cost, epsilon):
     The package's one switch on the cost's structure: a GridCost2D runs this
     module's `grid_kernel_apply` once per vector (its kernel is symmetric, so
     both directions are one function), a dense cost, given as its validated
-    entries, one broadcast `logsumexp`.
+    entries, `dense_kernel_apply` on kernels built here, once per solve.
     """
     if isinstance(cost, GridCost2D):
         def apply(x):
@@ -67,9 +69,34 @@ def _log_kernels(cost, epsilon):
                 return grid_kernel_apply(x, cost, epsilon).ravel()
             return np.array([grid_kernel_apply(r, cost, epsilon).ravel() for r in x])
         return apply, apply
-    lc = -cost / epsilon
-    return (lambda x: logsumexp(lc + x[..., :, None], axis=-2),
-            lambda x: logsumexp(lc + x[..., None, :], axis=-1))
+    def dense(lc):
+        shift = lc.max(axis=0)
+        kernel = (np.ascontiguousarray(np.exp(lc - shift)), shift, lc)
+        return lambda x: dense_kernel_apply(x, kernel)
+    return dense(-cost / epsilon), dense(-cost.T / epsilon)
+
+
+def dense_kernel_apply(x, kernel) -> np.ndarray:
+    """log(e^x @ exp(lc)) for x a vector or (N, n) stack, kernel = (exp(lc - s), s, lc).
+
+    s is lc's column maxima; each vector (entries finite or -inf) is shifted by
+    its maximum m, at least -1e308, and multiplied as a C-contiguous (N, 1, n)
+    stack, each row bit for bit a single vector's product: out = log S + m + s.
+    As in `grid_kernel_apply`, an S below 1e-250 is recomputed exactly with
+    `logsumexp`; an empty sum gives -inf, without warnings.
+    """
+    kern, shift, lc = kernel
+    m = x.max(axis=-1, keepdims=True, initial=-1e308)
+    e = np.subtract(x, m, order="C")
+    s = (np.exp(e, out=e)[..., None, :] @ kern)[..., 0, :]
+    low = s < _UNDERFLOW
+    s[low] = 1.0  # placeholder for the exact fallback below
+    out = np.log(s, out=s)
+    out += m + shift
+    k = np.nonzero(low)
+    if k[0].size:  # k[:-1] indexes each low output's vector, k[-1] its column
+        out[k] = logsumexp(x[k[:-1]] + lc.T[k[-1]], axis=-1)
+    return out
 
 
 def _log_mask(w):

@@ -7,7 +7,7 @@ joint transform.  All evaluations run in the log domain, and the scalar and
 batched semidual share one implementation, `_semidual`.  Its kernel applies
 and the Hessian's plan come from `entropic._log_kernels` and
 `core._gibbs_plan`, where the cost's structure (dense or separable grid) is
-the only switch.
+the only switch; an apply is a shifted matmul with an exact fallback.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .core import grid_kernel_apply  # noqa: F401
 from .entropic import _log_kernels
 
 
-def _semidual(F, B, cost, epsilon, value_only=False):
+def _semidual(F, B, cost, epsilon, value_only=False, kernels=None):
     """Columnwise semidual transform of F (n, N) against histograms B (m, N).
 
     With u = e^{f/eps} per column, returns the values (N,), log K^T u (N, m)
@@ -33,14 +33,14 @@ def _semidual(F, B, cost, epsilon, value_only=False):
     """
     if not epsilon > 0:
         raise ValueError("the semidual transform requires epsilon > 0")
-    c = as_kernel_cost(cost)
+    c = cost if kernels is not None else as_kernel_cost(cost)
     if F.ndim != 2 or B.ndim != 2 or F.shape[1] != B.shape[1]:
         raise ValueError("F and B must be matrices with one column per histogram")
     if (F.shape[0], B.shape[0]) != c.shape:
         raise ValueError("shape mismatch between F, B and the cost")
     if (B <= 0).any():
         raise ValueError("the semidual transform requires strictly positive histograms")
-    apply_kt, apply_k = _log_kernels(c, epsilon)
+    apply_kt, apply_k = kernels if kernels is not None else _log_kernels(c, epsilon)
     X = F.T / epsilon
     bt = B.T
     log_bt = np.log(bt)
@@ -105,18 +105,19 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)
 
 
-def semidual_conjugate_batch(F, B, cost, epsilon: float, *, _value_only=False):
+def semidual_conjugate_batch(F, B, cost, epsilon: float, *, _value_only=False,
+                             _kernels=None):
     """Columnwise semidual transform: values (N,) and gradient matrix (n, N).
 
     F is (n, N) and B is (m, N) for an n x m cost; column k is exactly
     semidual_conjugate(F[:, k], B[:, k]).  The value uses +1 where the closed
     form has sum(b); the two are equal for b on the simplex, which every
-    caller passes.  The private _value_only flag, for line-search trials,
-    skips the gradient's kernel apply and returns None in its place.
+    caller passes.  Private: _value_only, for line-search trials, skips the
+    gradient's kernel apply (None in its place); _kernels is `_log_kernels`'s pair.
     """
     values, _, log_grad = _semidual(
         np.asarray(F, dtype=float), np.asarray(B, dtype=float), cost, epsilon,
-        value_only=_value_only,
+        value_only=_value_only, kernels=_kernels,
     )
     return values, None if log_grad is None else np.exp(log_grad).T
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import Histogram, IterationLimitError
 from .barycenter import BarycenterProblem
+from .entropic import _log_kernels
 from .legendre import semidual_conjugate_batch
 
 
@@ -338,6 +339,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
                                     problem.epsilon)
 
     n, num = problem.size, problem.num_inputs
+    kernels = _log_kernels(problem.cost, problem.epsilon)
     lam = problem.weights
     lam_n = lam[-1]
     g_size = int(np.prod(op.out_shape))
@@ -359,7 +361,8 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
 
     def smooth_eval(x):
         values, deltas = semidual_conjugate_batch(
-            potentials(x), problem.histograms, problem.cost, problem.epsilon
+            potentials(x), problem.histograms, problem.cost, problem.epsilon,
+            _kernels=kernels,
         )
         fval = float(np.dot(lam, values))
         delta_last = deltas[:, -1]
@@ -371,7 +374,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     def smooth_value(x):
         values, _ = semidual_conjugate_batch(
             potentials(x), problem.histograms, problem.cost, problem.epsilon,
-            _value_only=True,
+            _value_only=True, _kernels=kernels,
         )
         return float(np.dot(lam, values))
 

@@ -174,12 +174,17 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
     the supergradient ascent g += step/sqrt(iter) * grad (default step 1).
     The potential is gauge-fixed to mean zero every iteration, since the
     objective is shift invariant.  The cost matrix is built once per solve.
+    At epsilon > 0 the default start g_j = min_i c(x_i, y_j) gives every cell a sample.
     Stops when the gradient sup-norm falls below tol, i.e. when the cell
     masses match the target masses to that accuracy.  `full_output` adds
     the iterations, final gradient norm, value trace and dual evaluations.
     """
     m = target.masses.size
-    g = np.zeros(m) if g0 is None else np.asarray(g0, dtype=float).copy()
+    cost = target.cost_to(source.points)
+    if g0 is None:
+        nearest = cost.min(axis=0)
+        g0 = nearest if epsilon > 0 and np.isfinite(nearest).all() else np.zeros(m)
+    g = np.asarray(g0, dtype=float).copy()
     if g.size != m:
         raise ValueError("g0 must have one entry per target site")
     g -= g.mean()
@@ -187,7 +192,6 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
     if not base_step > 0:
         raise ValueError("step must be positive")
 
-    cost = target.cost_to(source.points)
     weights, masses = source.weights, target.masses
     value, grad, chi = _dual_terms(g, cost, weights, masses, epsilon)
     evaluations = 1

@@ -314,6 +314,48 @@ class TestGridKernelApply:
         np.testing.assert_allclose(got, ref, **KERNEL_TOL)
 
 
+def uncached_grid_kernel_apply(logvals, cost, epsilon):
+    """`grid_kernel_apply` with both kernel factors exponentiated on every call."""
+    h, w = cost.grid_shape
+    x = np.asarray(logvals, dtype=float).reshape(h, w)
+    for sq in (cost.row_sq, cost.col_sq):
+        kern = -sq / epsilon
+        m = x.max(axis=0)
+        m[~np.isfinite(m)] = 0.0
+        s = np.exp(kern).T @ np.exp(x - m)
+        low = s < 1e-250
+        s[low] = 1.0
+        out = np.log(s) + m
+        j, c = np.nonzero(low)
+        if j.size:
+            out[j, c] = logsumexp(x[:, c] + kern[:, j], axis=0)
+        x = out.T
+    return x
+
+
+class TestGridKernelFactors:
+    @pytest.mark.parametrize("side", [24, 64])
+    def test_cached_factors_change_no_bit(self, side):
+        cost = GridCost2D(side, side)
+        rng = np.random.default_rng(side)
+        peak = peaked_logvals(side, side, 1 / 576, rng.integers(side * side))
+        # a wide bump with noise and a narrow one, both with zero bins, an
+        # empty grid row and an empty grid column, whose sums take the exact
+        # fallback
+        inputs = [peak / 50 + rng.normal(size=peak.size), peak]
+        for x in inputs:
+            x[rng.choice(x.size, size=x.size // 10, replace=False)] = -np.inf
+            x.reshape(side, side)[0] = -np.inf
+            x.reshape(side, side)[:, 3] = -np.inf
+        # the second call at each epsilon reads the cached factors; the third
+        # epsilon's call replaces the slot
+        for epsilon in (1 / 576, 1 / 576, 0.002, 0.002, 1 / 576):
+            for x in inputs:
+                got = grid_kernel_apply(x, cost, epsilon)
+                assert np.array_equal(got, uncached_grid_kernel_apply(x, cost, epsilon))
+        assert "entries" not in vars(cost)
+
+
 class TestCoupling:
     def test_gibbs_plan_built_on_first_access(self):
         rng = np.random.default_rng(3)

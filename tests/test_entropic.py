@@ -10,7 +10,7 @@ import pytest
 import smoothot
 
 from smoothot import entropic
-from smoothot.core import FeasibilityError, GridCost2D, IterationLimitError
+from smoothot.core import FeasibilityError, GridCost2D, IterationLimitError, logsumexp
 from smoothot.entropic import (
     ctransform_of_f,
     dual_value,
@@ -85,6 +85,90 @@ class TestCTransforms:
         f2 = ctransform_of_f(g1, a, c.T, 0.0)
         assert np.abs(g1 - g0).max() <= 1e-12
         assert np.abs(f2 - f1).max() <= 1e-12
+
+
+def broadcast_kernel_apply(x, lc):
+    """The reference: one broadcast log-sum-exp, log(e^x @ exp(lc))."""
+    return logsumexp(lc + x[..., :, None], axis=-2)
+
+
+class TestDenseKernelApply:
+    """The dense kernels of `_log_kernels`: x -> log K^T e^x and x -> log K e^x."""
+
+    @staticmethod
+    def directions(c, epsilon):
+        apply_kt, apply_k = entropic._log_kernels(c, epsilon)
+        return ((apply_kt, -c / epsilon), (apply_k, -c.T / epsilon))
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 15), (15, 9)])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-2, 1e-3])
+    def test_matches_broadcast_log_sum_exp(self, shape, epsilon):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        c = rng.uniform(size=shape)
+        for apply, lc in self.directions(c, epsilon):
+            n = lc.shape[0]
+            for x in (rng.normal(scale=3.0, size=n), rng.normal(size=(4, n)) / epsilon):
+                got = apply(x)
+                ref = broadcast_kernel_apply(x, lc)
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_log_zero_entries(self):
+        rng = np.random.default_rng(21)
+        c = rng.uniform(size=(6, 8))
+        (apply_kt, lc), (apply_k, _) = self.directions(c, 0.05)
+        x = rng.normal(size=6)
+        x[[1, 4]] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masked = apply_kt(x)
+            ref = broadcast_kernel_apply(x, lc)
+            empty = apply_kt(np.full(6, -np.inf))
+            empty_stack = apply_k(np.full((3, 8), -np.inf))
+        assert np.all(np.abs(masked - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        assert empty.shape == (8,) and np.all(empty == -np.inf)
+        assert empty_stack.shape == (3, 6) and np.all(empty_stack == -np.inf)
+
+    def test_underflowing_sums_fall_back_exactly(self, monkeypatch):
+        # all mass of x on bin 0: at eps = 1e-3 the shifted sum of column j is
+        # exp(-(C[0, j] - min_i C[i, j]) / eps), below 1e-250 once that gap
+        # passes 0.58
+        rng = np.random.default_rng(22)
+        c = rng.uniform(size=(10, 10))
+        epsilon = 1e-3
+        x = np.full(10, -800.0)
+        x[0] = 0.0
+        (apply_kt, lc), _ = self.directions(c, epsilon)
+        gaps = c[0] - c.min(axis=0)
+        fallback = np.flatnonzero(gaps > 0.6)
+        assert fallback.size > 0 and np.all((gaps <= 0.55) | (gaps > 0.6))
+        calls = []
+
+        def counted(a, axis=None):
+            calls.append(np.shape(a))
+            return logsumexp(a, axis=axis)
+
+        monkeypatch.setattr(entropic, "logsumexp", counted)
+        got = apply_kt(x)
+        assert calls == [(fallback.size, 10)]
+        for j in range(10):
+            exact = logsumexp(x + lc[:, j])
+            if j in fallback:
+                assert got[j] == exact
+            else:
+                assert abs(got[j] - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("shape", [(7, 7), (5, 11)])
+    def test_stack_rows_match_single_vectors(self, shape):
+        # the semidual passes F.T / eps, an F-ordered stack
+        rng = np.random.default_rng(23)
+        c = rng.uniform(size=shape)
+        for apply, lc in self.directions(c, 1e-2):
+            stack = (rng.normal(size=(lc.shape[0], 6)) / 1e-2).T
+            assert not stack.flags.c_contiguous
+            got = apply(stack)
+            for k in range(6):
+                assert np.array_equal(got[k], apply(stack[k]))
 
 
 def grid_distance_128():
@@ -259,15 +343,15 @@ class TestSinkhorn:
         b = random_histogram(rng, 10, floor=1e-3)
         c = rng.uniform(size=(10, 10))
         calls = []
-        reduce = entropic.logsumexp
+        apply = entropic.dense_kernel_apply
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return reduce(*args, **kwargs)
+            return apply(*args, **kwargs)
 
-        monkeypatch.setattr(entropic, "logsumexp", counted)
+        monkeypatch.setattr(entropic, "dense_kernel_apply", counted)
         res = sinkhorn(a, b, c, 0.05, tol=1e-9)
-        # one reduction before the first sweep and two per sweep; the value
+        # one kernel apply before the first sweep and two per sweep; the value
         # and the plan take none
         assert res.iterations > 10
         assert len(calls) == 2 * res.iterations + 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smoothot import barycenter, entropic, legendre, regularized
 from smoothot.barycenter import BarycenterProblem, lbfgs_direction, solve_barycenter
 from smoothot.core import GridCost2D, IterationLimitError
 from smoothot.legendre import semidual_conjugate_batch
@@ -306,3 +307,39 @@ class TestSolveRegularized:
                              norm_bound=np.nan, out_shape=(36,))
         with pytest.raises(ValueError):
             solve_regularized(prob, bad, make_regularizer("tv_iso", lam=0.5))
+
+
+class TestKernelsBuiltOncePerSolve:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = entropic._log_kernels
+
+        def counted(cost, epsilon):
+            calls.append(type(cost).__name__)
+            return build(cost, epsilon)
+
+        for module in (barycenter, entropic, legendre, regularized):
+            monkeypatch.setattr(module, "_log_kernels", counted)
+        return calls
+
+    @staticmethod
+    def problem(grid):
+        cost = GridCost2D(6, 6)
+        return BarycenterProblem(two_shapes(6, 6), [0.4, 0.6],
+                                 cost if grid else np.array(cost.entries), 0.1)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_solve_barycenter(self, builds, grid):
+        _, trace = solve_barycenter(self.problem(grid), tol=1e-6, max_iter=500,
+                                    step_rule=lbfgs_direction(fallback_step=0.05))
+        assert trace.iterations > 1
+        assert builds == ["GridCost2D" if grid else "ndarray"]
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_solve_regularized(self, builds, grid):
+        res = solve_regularized(self.problem(grid), grid_gradient((6, 6)),
+                                make_regularizer("tv_iso", lam=0.05), accel=True,
+                                full_output=True)
+        assert res.iterations > 1
+        assert builds == ["GridCost2D" if grid else "ndarray"]

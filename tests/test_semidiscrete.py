@@ -268,6 +268,21 @@ class TestSolveSemidiscrete:
         assert info["grad_norm"] <= 1e-9
         assert np.abs(smoothed_cells(g, src, tgt, eps) - tgt.masses).max() <= 1e-9
 
+    @pytest.mark.parametrize("seed, eps, iterations", [
+        (106, 0.1, 10), (106, 0.01, 13), (107, 0.1, 7), (107, 0.01, 14),
+        (108, 0.1, 7), (108, 0.01, 13),
+    ])
+    def test_far_site_starts_with_its_nearest_sample(self, seed, eps, iterations):
+        # from g = 0 the site (10, 10) holds no sample and its potential grows
+        # by a ridge-bounded step per iteration: 29 to 40 iterations here
+        rng = np.random.default_rng(seed)
+        src = SampledMeasure(rng.uniform(size=(300, 2)), np.full(300, 1.0 / 300))
+        sites = [[0.25, 0.25], [0.75, 0.3], [0.4, 0.8], [10.0, 10.0]]
+        tgt = DiscreteTarget(sites, [0.3, 0.3, 0.2, 0.2])
+        g, info = solve_semidiscrete(src, tgt, eps, tol=1e-9, full_output=True)
+        assert info["iterations"] == iterations
+        assert np.abs(smoothed_cells(g, src, tgt, eps) - tgt.masses).max() <= 1e-9
+
     def test_tolerance_at_round_off(self):
         # the last Newton steps gain less than the value's round-off; a line
         # search that cannot accept them stalls for several iterations
@@ -291,7 +306,8 @@ class TestSolveSemidiscrete:
 
     def test_hard_cells_take_ascent_steps(self):
         # at eps = 0.01 every sample sits deep inside one cell, so the Hessian
-        # is exactly 0 and the solver takes the ascent step eps * grad
+        # is exactly 0 and the solver takes the ascent step eps * grad from
+        # its default start, each site's distance to its nearest sample
         rng = np.random.default_rng(102)
         pts = np.vstack([rng.normal(-2.0, 0.05, size=(30, 1)),
                          rng.normal(2.0, 0.05, size=(20, 1))])
@@ -299,7 +315,8 @@ class TestSolveSemidiscrete:
         tgt = DiscreteTarget([[-2.0], [2.0]], [0.5, 0.5])
         with pytest.raises(IterationLimitError) as info:
             solve_semidiscrete(src, tgt, 0.01, max_iter=5)
-        g = np.zeros(2)
+        g = tgt.cost_to(src.points).min(axis=0)
+        g -= g.mean()
         for _ in range(5):
             g = g + 0.01 * semidiscrete_objective_grad(g, src, tgt, 0.01)[1]
             g -= g.mean()
