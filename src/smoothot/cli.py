@@ -25,7 +25,6 @@ from .core import (
     Histogram,
     IterationLimitError,
     grid_points_1d,
-    grid_points_2d,
     rescale_median,
 )
 from .entropic import primal_value, sinkhorn
@@ -41,6 +40,7 @@ from .regularized import (
 from .semidiscrete import (
     DiscreteTarget,
     SampledMeasure,
+    laguerre_assign,
     semidiscrete_objective_grad,
     solve_semidiscrete,
 )
@@ -55,25 +55,34 @@ class ConfigError(ValueError):
     pass
 
 
+_NUMBER = (int, float)
+_SOLVER_KEYS = {"epsilon": _NUMBER, "tol": _NUMBER, "max_iter": int}
+_COST_KEYS = {"cost": dict, "rescale_median": bool}
+# the regularizer and its forward-backward solver, shared by regbary and flow
+_REGULARIZED_KEYS = {"lambda": _NUMBER, "beta": int, "regularizer": str,
+                     "rho": _NUMBER, "indices": list, "values": list,
+                     "operator": (str, dict), "accel": bool, "tau": _NUMBER}
 _CONFIG_SCHEMAS = {
-    "barycenter": {"epsilon": (int, float), "tol": (int, float),
-                   "max_iter": int, "weights": list, "cost": dict,
-                   "rescale_median": bool, "step_rule": str,
-                   "tau": (int, float)},
-    "regbary": {"epsilon": (int, float), "tol": (int, float), "max_iter": int,
-                "weights": list, "cost": dict, "rescale_median": bool,
-                "lambda": (int, float), "beta": int, "regularizer": str,
-                "rho": (int, float), "indices": list, "values": list,
-                "operator": (str, dict), "accel": bool, "tau": (int, float)},
-    "flow": {"epsilon": (int, float), "tol": (int, float), "max_iter": int,
-             "cost": dict, "rescale_median": bool, "lambda": (int, float),
-             "beta": int, "regularizer": str, "rho": (int, float),
-             "indices": list, "values": list, "operator": (str, dict),
-             "accel": bool, "tau": (int, float), "steps": int},
-    "semidiscrete": {"epsilon": (int, float), "tol": (int, float),
-                     "max_iter": int, "step": (int, float), "source": dict,
+    "barycenter": {**_SOLVER_KEYS, **_COST_KEYS, "weights": list,
+                   "step_rule": str, "tau": _NUMBER},
+    "regbary": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS,
+                "weights": list},
+    "flow": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS, "steps": int},
+    "semidiscrete": {**_SOLVER_KEYS, "step": _NUMBER, "source": dict,
                      "seed": int},
 }
+
+
+class _Section(dict):
+    """A config object whose missing keys are config errors naming the key."""
+
+    def __init__(self, items, prefix=""):
+        super().__init__((k, _Section(v, f"{prefix}{k}.") if isinstance(v, dict) else v)
+                         for k, v in items.items())
+        self.prefix = prefix
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing config key {self.prefix}{key}")
 
 
 def load_config(path, command: str) -> dict:
@@ -98,7 +107,13 @@ def load_config(path, command: str) -> dict:
             bad.append(f"{key} (expected {names})")
     if bad:
         raise ConfigError(f"{path}: offending config keys: " + ", ".join(sorted(bad)))
-    return raw
+    return _Section(raw)
+
+
+def _solver_kw(cfg, *keys) -> dict:
+    """The config's values for the solver keywords `keys`; solver defaults fill the rest."""
+    # only tol is cast (an int tol reaches the solver as a float); the rest pass as typed
+    return {k: float(cfg[k]) if k == "tol" else cfg[k] for k in keys if k in cfg}
 
 
 def _load_density(path, normalize: bool):
@@ -116,9 +131,7 @@ def _build_cost(cfg, n: int, shape, path_hint: str):
     spec = cfg.get("cost")
     if spec is None:
         if shape is None:
-            raise ConfigError(
-                f"{path_hint}: a cost spec is required for non-grid inputs"
-            )
+            raise ConfigError(f"{path_hint}: a cost spec is required for non-grid inputs")
         cost = GridCost2D(*shape)
     elif spec.get("type") == "file":
         cost = fileio.read_matrix(spec["path"])
@@ -144,23 +157,45 @@ def _json_out(payload: dict, path) -> None:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _run(args, solve, write, summarize, best=lambda exc: exc.best) -> int:
+    """Time solve(), write its outputs and the summary, and return the exit code.
+
+    The summary is `summarize(result)` plus `converged` and `wall_time`.  On
+    IterationLimitError: report it, exit 3, and write from `best(exc)` instead.
+    """
+    start = time.perf_counter()
+    try:
+        result, code = solve(), EXIT_OK
+    except IterationLimitError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        result, code = best(exc), EXIT_NO_CONVERGENCE
+    wall = time.perf_counter() - start
+    write(result)
+    if args.summary:
+        _json_out({**summarize(result), "converged": code == EXIT_OK,
+                   "wall_time": wall}, args.summary)
+    return code
+
+
+def _write_pgm(args, values, shape) -> None:
+    if args.out_pgm:
+        if shape is None:
+            raise ValueError("--out-pgm needs PGM (grid) inputs")
+        fileio.write_pgm(args.out_pgm, np.asarray(values).reshape(shape))
+
+
 def cmd_distance(args) -> int:
     a = Histogram(fileio.read_vector(args.a), normalize=args.normalize).weights
     b = Histogram(fileio.read_vector(args.b), normalize=args.normalize).weights
     if args.cost is not None:
-        cost = fileio.read_matrix(args.cost)
+        spec = {"type": "file", "path": args.cost}
     elif args.grid_1d is not None:
-        if a.size != b.size:
-            raise ValueError("--grid-1d needs histograms of equal length")
-        cost = CostMatrix.squared_euclidean(
-            grid_points_1d(a.size, args.grid_1d[0], args.grid_1d[1])
-        ).entries
+        spec = {"type": "grid1d", "lo": args.grid_1d[0], "hi": args.grid_1d[1]}
     else:
         raise ValueError("provide --cost FILE or --grid-1d LO HI")
-    if cost.shape != (a.size, b.size):
-        raise ValueError("cost shape does not match the histograms")
-    if args.rescale_median:
-        cost = rescale_median(cost)
+    # the solvers reject a cost whose shape does not match the histograms
+    cost = _build_cost({"cost": spec, "rescale_median": args.rescale_median},
+                       a.size, None, "distance")
 
     if args.epsilon == 0:
         res = exact_ot(a, b, cost)
@@ -176,7 +211,6 @@ def cmd_distance(args) -> int:
             "restarts": 0,
             "epsilon": 0.0,
         }
-        converged = True
     else:
         try:
             res = sinkhorn(a, b, cost, args.epsilon, tol=args.tol,
@@ -193,87 +227,62 @@ def cmd_distance(args) -> int:
             "restarts": res.restarts,
             "epsilon": args.epsilon,
         }
-        converged = True
     if args.dump_coupling:
         fileio.write_matrix(args.dump_coupling, plan)
     _json_out(payload, args.out)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
-def _load_barycenter_inputs(args, cfg):
-    columns = []
-    shape = None
-    for path in args.inputs:
-        w, s = _load_density(path, args.normalize)
-        if s is not None:
-            shape = s if shape is None else shape
-            if s != shape:
-                raise ValueError("all PGM inputs must share one grid shape")
-        columns.append(w)
-    sizes = {c.size for c in columns}
-    if len(sizes) != 1:
+def _load_barycenter_problem(args, cfg):
+    """The problem over the input histograms, and their grid shape (or None)."""
+    loaded = [_load_density(path, args.normalize) for path in args.inputs]
+    columns = [w for w, _ in loaded]
+    shapes = {s for _, s in loaded if s is not None}
+    if len(shapes) > 1:
+        raise ValueError("all PGM inputs must share one grid shape")
+    shape = shapes.pop() if shapes else None
+    if len({c.size for c in columns}) != 1:
         raise ValueError("all inputs must have the same length")
     bmat = np.column_stack(columns)
     n = bmat.shape[0]
     weights = np.asarray(cfg.get("weights", np.full(len(columns), 1.0 / len(columns))),
                          dtype=float)
     cost = _build_cost(cfg, n, shape, args.config)
-    return bmat, weights, cost, shape
+    return BarycenterProblem(bmat, weights, cost, float(cfg.get("epsilon", 1.0 / n))), shape
 
 
-def _write_bary_outputs(args, hist, shape):
-    fileio.write_vector(args.out_csv, hist)
-    if args.out_pgm:
-        if shape is None:
-            raise ValueError("--out-pgm needs PGM (grid) inputs")
-        fileio.write_pgm(args.out_pgm, np.asarray(hist).reshape(shape))
+def _write_barycenter(args, hist, shape) -> None:
+    fileio.write_vector(args.out_csv, hist.weights)
+    _write_pgm(args, hist.weights, shape)
 
 
 def cmd_barycenter(args) -> int:
-    cfg = load_config(args.config, "barycenter")
-    bmat, weights, cost, shape = _load_barycenter_inputs(args, cfg)
-    problem = BarycenterProblem(bmat, weights, cost, float(cfg.get("epsilon", 1.0 / bmat.shape[0])))
-    start = time.perf_counter()
-    code = EXIT_OK
-    try:
-        hist, trace = solve_barycenter(
-            problem,
-            step_rule=cfg.get("step_rule", "fixed"),
-            tol=float(cfg.get("tol", 1e-6)),
-            max_iter=int(cfg.get("max_iter", 10_000)),
-            tau=cfg.get("tau"),
-        )
-    except IterationLimitError as exc:
-        hist, trace = exc.best
-        code = EXIT_NO_CONVERGENCE
-        print(f"barycenter: {exc}", file=sys.stderr)
-    wall = time.perf_counter() - start
-    _write_bary_outputs(args, hist.weights, shape)
-    if args.summary:
-        _json_out({
-            "objective_trace": trace.objectives,
-            "monitor_trace": trace.monitors,
-            "iterations": trace.iterations,
-            "converged": trace.converged,
-            "wall_time": wall,
-        }, args.summary)
-    return code
+    cfg = load_config(args.config, args.command)
+    problem, shape = _load_barycenter_problem(args, cfg)
+    return _run(
+        args,
+        lambda: solve_barycenter(
+            problem, **_solver_kw(cfg, "step_rule", "tol", "max_iter", "tau")),
+        write=lambda out: _write_barycenter(args, out[0], shape),
+        summarize=lambda out: {"objective_trace": out[1].objectives,
+                               "monitor_trace": out[1].monitors,
+                               "iterations": out[1].iterations},
+    )
 
 
-def _make_operator(cfg, n, shape):
+def _make_regularized(cfg, n, shape):
+    """The operator A and the regularizer J of a regbary or flow config."""
     spec = cfg.get("operator", "grid" if shape is not None else "identity")
     if spec == "grid":
         if shape is None:
             raise ConfigError("the grid operator needs PGM (grid) inputs")
-        return grid_gradient(shape)
-    if spec == "identity":
-        return identity_operator(n)
-    if isinstance(spec, dict) and spec.get("type") == "graph":
-        return graph_gradient(spec["edges"], n)
-    raise ConfigError(f"unknown operator spec {spec!r}")
-
-
-def _make_regularizer(cfg):
+        op = grid_gradient(shape)
+    elif spec == "identity":
+        op = identity_operator(n)
+    elif isinstance(spec, dict) and spec.get("type") == "graph":
+        op = graph_gradient(spec["edges"], n)
+    else:
+        raise ConfigError(f"unknown operator spec {spec!r}")
     kind = cfg.get("regularizer")
     if kind is None:
         beta = int(cfg.get("beta", 2))
@@ -281,86 +290,52 @@ def _make_regularizer(cfg):
             raise ConfigError("beta must be 1 or 2")
         kind = "tv_iso" if beta == 2 else "tv_aniso"
     if kind in ("tv_iso", "tv_aniso"):
-        return make_regularizer(kind, lam=float(cfg.get("lambda", 0.0)))
+        return op, make_regularizer(kind, lam=float(cfg.get("lambda", 0.0)))
     if kind == "quadratic":
-        return make_regularizer(kind, lam=float(cfg["lambda"]))
+        return op, make_regularizer(kind, lam=float(cfg["lambda"]))
     if kind == "box":
-        return make_regularizer(kind, rho=float(cfg["rho"]))
+        return op, make_regularizer(kind, rho=float(cfg["rho"]))
     if kind == "pinned":
-        return make_regularizer(kind, indices=cfg["indices"], values=cfg["values"])
+        return op, make_regularizer(kind, indices=cfg["indices"], values=cfg["values"])
     raise ConfigError(f"unknown regularizer {kind!r}")
 
 
 def cmd_regbary(args) -> int:
-    cfg = load_config(args.config, "regbary")
-    bmat, weights, cost, shape = _load_barycenter_inputs(args, cfg)
-    n = bmat.shape[0]
-    problem = BarycenterProblem(bmat, weights, cost, float(cfg.get("epsilon", 1.0 / n)))
-    op = _make_operator(cfg, n, shape)
-    reg = _make_regularizer(cfg)
-    start = time.perf_counter()
-    code = EXIT_OK
-    try:
-        result = solve_regularized(
-            problem, op, reg,
-            accel=bool(cfg.get("accel", False)),
-            tol=float(cfg.get("tol", 1e-7)),
-            max_iter=int(cfg.get("max_iter", 20_000)),
-            tau=cfg.get("tau"),
-            full_output=True,
-        )
-    except IterationLimitError as exc:
-        result = exc.best
-        code = EXIT_NO_CONVERGENCE
-        print(f"regbary: {exc}", file=sys.stderr)
-    wall = time.perf_counter() - start
-    _write_bary_outputs(args, result.barycenter.weights, shape)
-    if args.summary:
-        _json_out({
-            "objective_trace": result.objectives,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "step": result.step,
-            "wall_time": wall,
-        }, args.summary)
-    return code
+    cfg = load_config(args.config, args.command)
+    problem, shape = _load_barycenter_problem(args, cfg)
+    op, reg = _make_regularized(cfg, problem.size, shape)
+    return _run(
+        args,
+        lambda: solve_regularized(
+            problem, op, reg, **_solver_kw(cfg, "accel", "tol", "max_iter", "tau"),
+            full_output=True),
+        write=lambda out: _write_barycenter(args, out.barycenter, shape),
+        summarize=lambda out: {"objective_trace": out.objectives,
+                               "iterations": out.iterations, "step": out.step},
+    )
+
+
+def _write_trajectory(args, result, shape) -> None:
+    trajectory = np.vstack([h.weights for h in result.iterates])
+    fileio.write_matrix(args.out_csv, trajectory)
+    _write_pgm(args, trajectory[-1], shape)
 
 
 def cmd_flow(args) -> int:
-    cfg = load_config(args.config, "flow")
+    cfg = load_config(args.config, args.command)
     a0, shape = _load_density(args.initial, args.normalize)
     n = a0.size
     cost = _build_cost(cfg, n, shape, args.config)
-    op = _make_operator(cfg, n, shape)
-    reg = _make_regularizer(cfg)
-    start = time.perf_counter()
-    code = EXIT_OK
-    try:
-        result = run_flow(
+    op, reg = _make_regularized(cfg, n, shape)
+    return _run(
+        args,
+        lambda: run_flow(
             a0, int(cfg.get("steps", 1)), cost,
             float(cfg.get("epsilon", 1.0 / n)), float(cfg.get("tau", 0.1)),
-            op, reg,
-            tol=float(cfg.get("tol", 1e-7)),
-            max_iter=int(cfg.get("max_iter", 20_000)),
-            accel=bool(cfg.get("accel", True)),
-        )
-    except IterationLimitError as exc:
-        print(f"flow: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    wall = time.perf_counter() - start
-    trajectory = np.vstack([h.weights for h in result.iterates])
-    fileio.write_matrix(args.out_csv, trajectory)
-    if args.out_pgm:
-        if shape is None:
-            raise ValueError("--out-pgm needs a PGM (grid) initial density")
-        fileio.write_pgm(args.out_pgm, trajectory[-1].reshape(shape))
-    if args.summary:
-        _json_out({
-            "records": result.records,
-            "steps": len(result.iterates),
-            "wall_time": wall,
-        }, args.summary)
-    return code
+            op, reg, **_solver_kw(cfg, "tol", "max_iter", "accel")),
+        write=lambda out: _write_trajectory(args, out, shape),
+        summarize=lambda out: {"records": out.records, "steps": len(out.iterates)},
+    )
 
 
 def _load_points_file(path):
@@ -381,55 +356,41 @@ def _make_source(cfg, args):
     if spec is None:
         raise ConfigError("provide --source FILE or a config source spec")
     kind = spec.get("type")
+    if kind not in ("grid1d", "uniform_random"):
+        raise ConfigError(f"unknown source type {kind!r}")
+    n, lo, hi = int(spec["n"]), float(spec["lo"]), float(spec["hi"])
     if kind == "grid1d":
-        return SampledMeasure.uniform_grid_1d(
-            int(spec["n"]), float(spec["lo"]), float(spec["hi"])
-        )
-    if kind == "uniform_random":
-        rng = np.random.default_rng(int(spec.get("seed", cfg.get("seed", 0))))
-        d = int(spec.get("d", 1))
-        pts = rng.uniform(float(spec["lo"]), float(spec["hi"]), size=(int(spec["n"]), d))
-        return SampledMeasure(pts, np.full(int(spec["n"]), 1.0 / int(spec["n"])))
-    raise ConfigError(f"unknown source type {kind!r}")
+        return SampledMeasure.uniform_grid_1d(n, lo, hi)
+    rng = np.random.default_rng(int(spec.get("seed", cfg.get("seed", 0))))
+    pts = rng.uniform(lo, hi, size=(n, int(spec.get("d", 1))))
+    return SampledMeasure(pts, np.full(n, 1.0 / n))
 
 
 def cmd_semidiscrete(args) -> int:
-    cfg = load_config(args.config, "semidiscrete")
+    cfg = load_config(args.config, args.command)
     source = _make_source(cfg, args)
-    sites, masses = _load_points_file(args.target)
-    target = DiscreteTarget(sites, masses)
+    target = DiscreteTarget(*_load_points_file(args.target))
     epsilon = float(cfg.get("epsilon", 0.0))
-    start = time.perf_counter()
-    code = EXIT_OK
-    try:
-        g, info = solve_semidiscrete(
-            source, target, epsilon,
-            step=cfg.get("step"),
-            tol=float(cfg.get("tol", 1e-6)),
-            max_iter=int(cfg.get("max_iter", 50_000)),
-            full_output=True,
-        )
-    except IterationLimitError as exc:
-        g = exc.best
-        value, _ = semidiscrete_objective_grad(g, source, target, epsilon)
-        info = {"iterations": exc.iterations, "grad_norm": exc.residual, "values": [value]}
-        code = EXIT_NO_CONVERGENCE
-        print(f"semidiscrete: {exc}", file=sys.stderr)
-    wall = time.perf_counter() - start
-    fileio.write_vector(args.out_csv, g)
-    if args.summary:
-        from .semidiscrete import laguerre_assign
 
-        _, cells = laguerre_assign(g, source, target)
-        _json_out({
-            "dual_value": info["values"][-1],
-            "grad_norm": info["grad_norm"],
-            "iterations": info["iterations"],
-            "cell_masses": cells.tolist(),
-            "converged": code == EXIT_OK,
-            "wall_time": wall,
-        }, args.summary)
-    return code
+    def best(exc):
+        value, _ = semidiscrete_objective_grad(exc.best, source, target, epsilon)
+        return exc.best, {"iterations": exc.iterations, "grad_norm": exc.residual,
+                          "values": [value]}
+
+    def summarize(out):
+        g, info = out
+        return {"dual_value": info["values"][-1], "grad_norm": info["grad_norm"],
+                "iterations": info["iterations"],
+                "cell_masses": laguerre_assign(g, source, target)[1].tolist()}
+
+    return _run(
+        args,
+        lambda: solve_semidiscrete(
+            source, target, epsilon, tol=float(cfg.get("tol", 1e-6)),
+            **_solver_kw(cfg, "step", "max_iter"), full_output=True),
+        write=lambda out: fileio.write_vector(args.out_csv, out[0]),
+        summarize=summarize, best=best,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,35 +419,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the JSON summary here")
     p.set_defaults(func=cmd_distance)
 
+    # arguments shared by the config commands, declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON config file")
+    config.add_argument("--out-csv", required=True, help="output CSV: the barycenter, "
+                        "the flow trajectory (one row per step) or the dual potential")
+    config.add_argument("--summary", help="optional JSON run summary")
+    densities = argparse.ArgumentParser(add_help=False, parents=[config])
+    densities.add_argument("--out-pgm", help="optional PGM of the result (grid inputs)")
+    densities.add_argument("--normalize", action="store_true")
+
     for name, func, extra in (
         ("barycenter", cmd_barycenter, "smooth-dual Wasserstein barycenter"),
         ("regbary", cmd_regbary, "regularized barycenter (TV and friends)"),
     ):
-        p = sub.add_parser(name, help=extra)
-        p.add_argument("--config", required=True, help="JSON config file")
+        p = sub.add_parser(name, parents=[densities], help=extra)
         p.add_argument("--inputs", required=True, nargs="+",
                        help="input histograms (text or PGM)")
-        p.add_argument("--out-csv", required=True, help="barycenter output file")
-        p.add_argument("--out-pgm", help="optional PGM output (grid inputs)")
-        p.add_argument("--summary", help="optional JSON run summary")
-        p.add_argument("--normalize", action="store_true")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("flow", help="JKO gradient flow")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("flow", parents=[densities], help="JKO gradient flow")
     p.add_argument("--initial", required=True, help="starting density (text or PGM)")
-    p.add_argument("--out-csv", required=True, help="trajectory CSV (one row per step)")
-    p.add_argument("--out-pgm", help="optional PGM of the final iterate")
-    p.add_argument("--summary", help="optional JSON run summary")
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("semidiscrete", help="entropic semi-discrete transport")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("semidiscrete", parents=[config],
+                       help="entropic semi-discrete transport")
     p.add_argument("--source", help="source samples CSV (coords..., weight)")
     p.add_argument("--target", required=True, help="target CSV (coords..., mass)")
-    p.add_argument("--out-csv", required=True, help="dual potential output")
-    p.add_argument("--summary", help="optional JSON run summary")
     p.set_defaults(func=cmd_semidiscrete)
     return parser
 

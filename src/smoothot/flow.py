@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_weights
+from .core import IterationLimitError, as_weights
 from .barycenter import BarycenterProblem
 from .entropic import sinkhorn, symmetric_potential
 from .regularized import (
@@ -78,6 +78,10 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     its symmetric fixed point on a symmetric cost (every GridCost2D, or a
     matrix equal to its transpose) and cold otherwise.  Both stop on
     Sinkhorn's l1 marginal test with tol=sinkhorn_tol.
+
+    A step that hits max_iter re-raises its IterationLimitError with `best`
+    set to the FlowResult so far: the completed steps and their records, then
+    the failing step's best barycenter.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -87,9 +91,13 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     records = []
     state = None
     for _ in range(steps):
-        result = jko_step(current, cost, epsilon, tau_flow, op, reg,
-                          tol=tol, max_iter=max_iter, accel=accel, x0=state,
-                          full_output=True, **solver_kw)
+        try:
+            result = jko_step(current, cost, epsilon, tau_flow, op, reg,
+                              tol=tol, max_iter=max_iter, accel=accel, x0=state,
+                              full_output=True, **solver_kw)
+        except IterationLimitError as exc:
+            exc.best = FlowResult(iterates=iterates + [exc.best.barycenter], records=records)
+            raise
         nxt = result.barycenter.weights
         if record_descent:
             new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol,

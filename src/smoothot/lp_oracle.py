@@ -137,20 +137,18 @@ def exact_ot(a, b, cost, *, rational: bool = False,
         ta, tb = sum(av), sum(bv)
         if tb != 0:
             bv = [x * ta / tb for x in bv]  # exact balance
-        cf = [[Fraction(x) for x in row] for row in c]
+        cf = np.vectorize(Fraction, otypes=[object])(c)
         zero = Fraction(0)
         tol = Fraction(0)
-        cost_at = lambda i, j: cf[i][j]
     else:
         av = list(aw)
         bv = list(bw)
         cf = c
         zero = 0.0
         tol = 1e-12 * max(1.0, float(np.abs(c).max()))
-        cost_at = lambda i, j: cf[i, j]
 
     basis, flows = _northwest_corner(av, bv, zero)
-    basis_cost = {(i, j): cost_at(i, j) for i, j in basis}
+    basis_cost = {(i, j): cf[i, j] for i, j in basis}
     parent, order = _tree_structure(basis, n, m)
     u, v = _duals(basis_cost, parent, order, n, m, zero)
 
@@ -159,37 +157,18 @@ def exact_ot(a, b, cost, *, rational: bool = False,
     pivots = 0
     degenerate_streak = 0
     while True:
-        if rational:
-            enter = None
-            best = zero
-            use_bland = degenerate_streak >= _DEGENERATE_STREAK
-            for i in range(n):
-                ui = u[i]
-                for j in range(m):
-                    red = cf[i][j] - ui - v[j]
-                    if red < -tol:
-                        if use_bland:
-                            enter = (i, j)
-                            break
-                        if red < best:
-                            best = red
-                            enter = (i, j)
-                if use_bland and enter is not None:
-                    break
-            if enter is None:
+        # object arrays of Fractions in rational mode, float64 otherwise
+        reduced = cf - np.asarray(u)[:, None] - np.asarray(v)[None, :]
+        if degenerate_streak >= _DEGENERATE_STREAK:
+            neg = np.flatnonzero(reduced.ravel() < -tol)
+            if neg.size == 0:
                 break
+            enter = divmod(int(neg[0]), m)
         else:
-            reduced = cf - np.asarray(u)[:, None] - np.asarray(v)[None, :]
-            if degenerate_streak >= _DEGENERATE_STREAK:
-                neg = np.flatnonzero(reduced.ravel() < -tol)
-                if neg.size == 0:
-                    break
-                enter = divmod(int(neg[0]), m)
-            else:
-                flat = int(np.argmin(reduced))
-                if reduced.ravel()[flat] >= -tol:
-                    break
-                enter = divmod(flat, m)
+            flat = int(np.argmin(reduced))
+            if reduced.ravel()[flat] >= -tol:
+                break
+            enter = divmod(flat, m)
 
         pivots += 1
         if pivots > max_pivots:
@@ -217,7 +196,7 @@ def exact_ot(a, b, cost, *, rational: bool = False,
         flows[(enter[0], enter[1])] = theta
         del flows[leaving]
         basis_cost.pop(leaving)
-        basis_cost[(enter[0], enter[1])] = cost_at(*enter)
+        basis_cost[(enter[0], enter[1])] = cf[enter]
         basis = list(basis_cost.keys())
         parent, order = _tree_structure(basis, n, m)
         u, v = _duals(basis_cost, parent, order, n, m, zero)
@@ -226,7 +205,7 @@ def exact_ot(a, b, cost, *, rational: bool = False,
     value_exact = zero
     for (i, j), fl in flows.items():
         plan[i, j] = float(fl)
-        value_exact += cost_at(i, j) * fl
+        value_exact += cf[i, j] * fl
     return ExactOTResult(
         coupling=plan,
         value=float(value_exact),

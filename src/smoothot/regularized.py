@@ -28,7 +28,6 @@ class LinearOperator:
     adjoint: Callable[[np.ndarray], np.ndarray]
     norm_bound: float
     out_shape: tuple
-    tag: str = ""
 
 
 def grid_gradient(shape) -> LinearOperator:
@@ -65,7 +64,6 @@ def grid_gradient(shape) -> LinearOperator:
         adjoint=adjoint,
         norm_bound=float(np.sqrt(8.0)),
         out_shape=(h * w, 2),
-        tag=f"grid_gradient({h}x{w})",
     )
 
 
@@ -98,7 +96,6 @@ def graph_gradient(edges, num_vertices: int) -> LinearOperator:
         adjoint=adjoint,
         norm_bound=bound,
         out_shape=(edge_arr.shape[0],),
-        tag=f"graph_gradient({edge_arr.shape[0]} edges)",
     )
 
 
@@ -108,7 +105,6 @@ def identity_operator(n: int) -> LinearOperator:
         adjoint=lambda z: np.asarray(z, dtype=float).copy(),
         norm_bound=1.0,
         out_shape=(n,),
-        tag="identity",
     )
 
 
@@ -156,7 +152,6 @@ class Regularizer:
     prox_conjugate: Callable[[np.ndarray, float], np.ndarray]
     conjugate: Callable[[np.ndarray], float]
     value: Callable[[np.ndarray], float]
-    tag: str
     kind: str = ""
     params: dict = field(default_factory=dict)
 
@@ -206,7 +201,6 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
             prox_conjugate=lambda g, tau, _l=lam, _b=beta: prox_tv_conjugate(g, tau, _l, _b),
             conjugate=conjugate,
             value=lambda z, _l=lam, _b=beta: _l * float(_site_norms(z, _b)),
-            tag=f"{kind}(lam={lam})",
             kind=kind,
             params={"lam": lam},
         )
@@ -218,7 +212,6 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
             prox_conjugate=lambda g, tau, _l=lam: np.asarray(g, float) / (1.0 + tau / _l),
             conjugate=lambda g, _l=lam: float((np.asarray(g) ** 2).sum()) / (2 * _l),
             value=lambda z, _l=lam: 0.5 * _l * float((np.asarray(z) ** 2).sum()),
-            tag=f"quadratic(lam={lam})",
             kind="quadratic",
             params={"lam": lam},
         )
@@ -237,7 +230,6 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
             value=lambda z, _r=rho: 0.0
             if np.abs(np.asarray(z)).max(initial=0.0) <= _r + 1e-12
             else float("inf"),
-            tag=f"box(rho={rho})",
             kind="box",
             params={"rho": rho},
         )
@@ -271,7 +263,6 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
             prox_conjugate=prox,
             conjugate=conjugate,
             value=value,
-            tag=f"pinned({idx.size} entries)",
             kind="pinned",
             params={"indices": idx, "values": pinned_vals},
         )

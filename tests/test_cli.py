@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import smoothot
-from smoothot import cli, fileio
-from smoothot.core import GridCost2D
+from smoothot import cli, fileio, regularized
+from smoothot.barycenter import BarycenterProblem
+from smoothot.core import CostMatrix, GridCost2D, grid_points_1d
 from smoothot.cli import main
 from smoothot.semidiscrete import DiscreteTarget, SampledMeasure, semidiscrete_objective_grad
 
@@ -403,3 +404,94 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"
+
+
+GRID1D = {"type": "grid1d", "lo": 0.0, "hi": 1.0}
+CHAIN = {"lambda": 0.05, "beta": 1, "accel": True,
+         "operator": {"type": "graph", "edges": [[i, i + 1] for i in range(8)]}}
+# a small run of each config command that reaches its tolerance
+CONVERGING = {
+    "barycenter": {"epsilon": 0.05, "tol": 1e-7, "max_iter": 20000, "cost": GRID1D,
+                   "step_rule": "backtracking"},
+    "regbary": {"epsilon": 0.05, "tol": 1e-9, "max_iter": 60000, "cost": GRID1D, **CHAIN},
+    "flow": {"epsilon": 0.05, "tol": 1e-9, "max_iter": 60000, "cost": GRID1D, **CHAIN},
+    "semidiscrete": {"epsilon": 0.1, "tol": 1e-10,
+                     "source": {"type": "grid1d", "n": 200, "lo": -1.0, "hi": 1.0}},
+}
+
+
+def config_run(tmp_path, command, cfg):
+    """Run a config command on a 9-bin histogram (or two 1-D sites for semidiscrete).
+
+    Returns the exit code, the --out-csv path and the --summary path.
+    """
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    out, summary = tmp_path / f"{command}.csv", tmp_path / f"{command}_summary.json"
+    if command == "semidiscrete":
+        target = tmp_path / "target.csv"
+        fileio.write_matrix(target, [[-0.5, 0.5], [0.5, 0.5]])
+        inputs = ["--target", target]
+    else:
+        b = np.random.default_rng(123).dirichlet(np.ones(9)) + 1e-3
+        hist = write_vec(tmp_path / "b.txt", b / b.sum())
+        inputs = ["--initial" if command == "flow" else "--inputs", hist]
+    code = run([command, "--config", path, *inputs, "--out-csv", out, "--summary", summary])
+    return code, out, summary
+
+
+class TestCommandPipeline:
+    @pytest.mark.parametrize("command", sorted(CONVERGING))
+    def test_every_summary_has_converged_and_wall_time(self, tmp_path, command):
+        code, _, summary = config_run(tmp_path, command, CONVERGING[command])
+        assert code == cli.EXIT_OK
+        payload = json.loads(summary.read_text())
+        assert payload["converged"] is True
+        assert isinstance(payload["wall_time"], float) and payload["wall_time"] > 0
+
+    def test_regbary_omitted_keys_take_the_solver_defaults(self, tmp_path, monkeypatch):
+        # the CLI restates no solver default, so a changed library default reaches it
+        monkeypatch.setitem(regularized.solve_regularized.__kwdefaults__, "tol", 1e-4)
+        cfg = {"epsilon": 0.05, "cost": GRID1D, "lambda": 0.05, "beta": 1,
+               "operator": CHAIN["operator"]}
+        code, out, _ = config_run(tmp_path, "regbary", cfg)
+        assert code == cli.EXIT_OK
+        b = fileio.read_vector(tmp_path / "b.txt")
+        cost = CostMatrix.squared_euclidean(grid_points_1d(9, 0.0, 1.0)).entries
+        expected = regularized.solve_regularized(
+            BarycenterProblem(b[:, None], [1.0], cost, 0.05),
+            regularized.graph_gradient(CHAIN["operator"]["edges"], 9),
+            regularized.make_regularizer("tv_aniso", lam=0.05))
+        fileio.write_vector(tmp_path / "library.csv", expected.weights)
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_flow_writes_its_best_iterate_on_iteration_limit(self, tmp_path, capsys):
+        cfg = {**CONVERGING["flow"], "steps": 2, "tol": 1e-14, "max_iter": 3}
+        code, out, summary = config_run(tmp_path, "flow", cfg)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith("flow: ")
+        trajectory = fileio.read_matrix(out)
+        assert trajectory.shape == (1, 9)
+        assert abs(trajectory.sum() - 1.0) <= 1e-12
+        payload = json.loads(summary.read_text())
+        assert payload["converged"] is False
+        assert payload["steps"] == 1 and payload["records"] == []
+
+    @pytest.mark.parametrize("command, change, key", [
+        ("regbary", {"regularizer": "quadratic", "lambda": None}, "lambda"),
+        ("regbary", {"regularizer": "box"}, "rho"),
+        ("flow", {"regularizer": "pinned", "indices": [0]}, "values"),
+        ("barycenter", {"cost": {"type": "grid1d"}}, "cost.lo"),
+        ("barycenter", {"cost": {"type": "file"}}, "cost.path"),
+        ("regbary", {"operator": {"type": "graph"}}, "operator.edges"),
+        ("semidiscrete", {"source": {"type": "grid1d", "lo": -1.0, "hi": 1.0}}, "source.n"),
+        ("semidiscrete", {"source": {"type": "uniform_random", "n": 10, "lo": 0.0}},
+         "source.hi"),
+    ])
+    def test_missing_nested_key_is_a_config_error(self, tmp_path, capsys, command,
+                                                  change, key):
+        # a None in `change` drops that key from the converging config
+        cfg = {k: v for k, v in {**CONVERGING[command], **change}.items() if v is not None}
+        code, _, _ = config_run(tmp_path, command, cfg)
+        assert code == cli.EXIT_CONFIG
+        assert f"missing config key {key}" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothot.core import CostMatrix, GridCost2D, grid_points_2d
+from smoothot.core import CostMatrix, GridCost2D, IterationLimitError, grid_points_2d
 from smoothot.entropic import sinkhorn
 from smoothot.flow import FlowResult, jko_step, run_flow
 from smoothot.regularized import graph_gradient, grid_gradient, make_regularizer
@@ -147,3 +147,21 @@ class TestRunFlow:
         with pytest.raises(ValueError):
             run_flow(np.full(n, 1.0 / n), 0, cost, 0.1, 0.1, op,
                      make_regularizer("tv_aniso", lam=0.5))
+
+    def test_iteration_limit_carries_the_steps_so_far(self):
+        # plain FB takes ~220 iterations on step 1 and ~620 on step 2 here,
+        # so a budget of 300 completes one step and stops in the next
+        n = 24
+        cost, op = chain_setup(n)
+        a0 = two_cluster_1d(n)
+        reg = make_regularizer("tv_aniso", lam=0.5)
+        kw = dict(tol=1e-9, obj_tol=None, accel=False, max_iter=300)
+        with pytest.raises(IterationLimitError) as info:
+            run_flow(a0, 3, cost, 1.0 / n, 0.1, op, reg, **kw)
+        best = info.value.best
+        assert isinstance(best, FlowResult)
+        assert len(best.iterates) == 2 and len(best.records) == 1
+        first = run_flow(a0, 1, cost, 1.0 / n, 0.1, op, reg, **kw)
+        assert np.array_equal(best.iterates[0].weights, first.iterates[0].weights)
+        assert best.records == first.records
+        assert abs(best.iterates[1].weights.sum() - 1.0) <= 1e-12
