@@ -8,6 +8,7 @@ baselines (smooth primal gradient, eps = 0 dual subgradient) live here too.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -116,7 +117,7 @@ StepRule = Union[str, Callable]
 
 def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed",
                      tol: float = 1e-6, max_iter: int = 10_000,
-                     tau: Optional[float] = None, f0=None):
+                     tau: Optional[float] = None):
     """Projected gradient descent on the dual barycenter problem.
 
     Parameters
@@ -124,12 +125,13 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     step_rule : "fixed" (default step eps/2, safe by the 1/eps smoothness of
         each semidual term and sum(lambda) = 1), "backtracking" (halve on
         objective increase, grow gently after accepted steps), or a callable
-        hook(F, grad, history) -> update matrix, for caller-supplied
-        quasi-Newton directions built from gradient history; hook steps that
-        raise the objective fall back to a backtracked gradient step.
+        hook(F, grad, pairs) -> update matrix for quasi-Newton directions,
+        `pairs` the last ten steps as raveled (s, y, <s, y>) triples of iterate
+        and projected-gradient differences.  A hook step is halved from scale 1
+        to 2**-33 until the objective does not rise, then replaced by a
+        backtracked gradient step.
     tol : threshold on the convergence monitor, the sum over bins of the
         standard deviation of the N gradient columns.
-    f0 : optional initial F (projected onto the constraint); defaults to 0.
 
     Returns (barycenter, trace): the averaged primal iterate as a Histogram
     and a BarycenterTrace with per-iteration objective/monitor values.
@@ -139,11 +141,10 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     if np.any(problem.histograms <= 0):
         raise ValueError("input histograms must be strictly positive")
     lam = problem.weights
-    F = np.zeros_like(problem.histograms) if f0 is None else np.asarray(f0, float).copy()
-    F = _feasible(F, lam)
+    F = np.zeros_like(problem.histograms)
     step = problem.epsilon / 2 if tau is None else float(tau)
     hook = step_rule if callable(step_rule) else None
-    if not callable(step_rule) and step_rule not in ("fixed", "backtracking"):
+    if hook is None and step_rule not in ("fixed", "backtracking"):
         raise ValueError("step_rule must be 'fixed', 'backtracking', or a callable")
     kernels = _log_kernels(problem.cost, problem.epsilon)
 
@@ -153,13 +154,26 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
         )
         return float(np.dot(lam, values)), deltas
 
+    def halve(direction, scale, floor):
+        # first (F, objective, deltas) along -direction that does not raise the
+        # objective, or None once scale <= floor fails; plus the last scale
+        while True:
+            candidate = _feasible(F - scale * direction, lam)
+            cand_obj, cand_deltas = evaluate(candidate)
+            if cand_obj <= objective:
+                return (candidate, cand_obj, cand_deltas), scale
+            if scale <= floor:
+                return None, scale
+            scale *= 0.5
+
     trace = BarycenterTrace(objectives=[], monitors=[], iterations=0, converged=False)
-    history: list = []
+    pairs: deque = deque(maxlen=10)
+    previous = None
     objective, deltas = evaluate(F)
     stalled = 0
     for it in range(max_iter):
         # work with the projected gradient: identical steps after projection,
-        # and quasi-Newton history must live in the constraint subspace
+        # and quasi-Newton pairs must live in the constraint subspace
         grad = project_constraint(deltas * lam[None, :], lam)
         monitor, mean_delta = _monitor_and_mean(deltas)
         trace.objectives.append(objective)
@@ -171,35 +185,25 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
         if stalled >= 3:  # objective pinned at its float resolution
             break
 
-        moved = True
-        if hook is not None:
-            update = hook(F, grad, history)
-            scale = 1.0
-            while True:  # decrease-only line search along the hook direction
-                candidate = _feasible(F - scale * update, lam)
-                cand_obj, cand_deltas = evaluate(candidate)
-                if cand_obj <= objective:
-                    break
-                scale *= 0.5
-                if scale < 1e-10:  # direction is useless; plain gradient step
-                    candidate, cand_obj, cand_deltas, step, moved = _backtrack(
-                        F, grad, objective, step, lam, evaluate
-                    )
-                    break
-        elif step_rule == "backtracking":
-            candidate, cand_obj, cand_deltas, step, moved = _backtrack(
-                F, grad, objective, step, lam, evaluate
-            )
-            step = min(step * 1.25, 1e6 * problem.epsilon)
-        else:
+        if step_rule == "fixed":
             candidate = _feasible(F - step * grad, lam)
-            cand_obj, cand_deltas = evaluate(candidate)
+            accepted = (candidate, *evaluate(candidate))
+        else:
+            accepted = None
+            if hook is not None:
+                if previous is not None:
+                    s, y = (F - previous[0]).ravel(), (grad - previous[1]).ravel()
+                    pairs.append((s, y, float(s @ y)))
+                previous = (F, grad)
+                accepted, _ = halve(hook(F, grad, list(pairs)), 1.0, 2.0 ** -33)
+            if accepted is None:
+                accepted, step = halve(grad, step, 1e-16)
+            if hook is None:
+                step = min(step * 1.25, 1e6 * problem.epsilon)
 
-        stalled = stalled + 1 if (not moved or cand_obj == objective) else 0
-        history.append((F, grad))
-        if len(history) > 10:
-            history.pop(0)
-        F, objective, deltas = candidate, cand_obj, cand_deltas
+        stalled = stalled + 1 if accepted is None or accepted[1] == objective else 0
+        if accepted is not None:  # else no decrease at any step: stay put
+            F, objective, deltas = accepted
     else:
         it = max_iter
 
@@ -219,41 +223,23 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     return Histogram(mean_delta, normalize=True), trace
 
 
-def _backtrack(F, grad, objective, step, lam, evaluate, shrink=0.5, min_step=1e-16):
-    while True:
-        candidate = _feasible(F - step * grad, lam)
-        cand_obj, cand_deltas = evaluate(candidate)
-        if cand_obj <= objective:
-            return candidate, cand_obj, cand_deltas, step, True
-        if step <= min_step:  # no decrease at any step; stay put
-            return F, objective, evaluate(F)[1], step, False
-        step *= shrink
-
-
-def lbfgs_direction(memory: int = 10, fallback_step: Optional[float] = None):
+def lbfgs_direction(fallback_step: Optional[float] = None):
     """Limited-memory quasi-Newton hook for solve_barycenter's step_rule.
 
     Builds an update matrix by the standard two-loop recursion over the
-    solver's (F, gradient) history.  The solver projects iterates onto the
+    (s, y, <s, y>) pairs the solver passes, skipping pairs with
+    <s, y> <= 1e-18; with none left it returns fallback_step * grad
+    (1e-3 * grad by default).  The solver projects iterates onto the
     constraint and falls back to a backtracked gradient step whenever the
     returned direction raises the objective.
     """
 
-    def hook(F, grad, history):
-        g = grad.ravel()
-        pairs = []
-        chain = history + [(F, grad)]
-        for (f_prev, g_prev), (f_next, g_next) in zip(chain[:-1], chain[1:]):
-            s = (f_next - f_prev).ravel()
-            y = (g_next - g_prev).ravel()
-            sy = float(s @ y)
-            if sy > 1e-18:
-                pairs.append((s, y, sy))
-        pairs = pairs[-memory:]
+    def hook(F, grad, pairs):
+        pairs = [pair for pair in pairs if pair[2] > 1e-18]
         if not pairs:
             step0 = fallback_step if fallback_step is not None else 1e-3
             return step0 * grad
-        q = g.copy()
+        q = grad.ravel().copy()
         alphas = []
         for s, y, sy in reversed(pairs):
             alpha = (s @ q) / sy

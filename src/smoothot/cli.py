@@ -27,7 +27,7 @@ from .core import (
     grid_points_1d,
     rescale_median,
 )
-from .entropic import primal_value, sinkhorn
+from .entropic import dual_value, primal_value, sinkhorn
 from .flow import run_flow
 from .lp_oracle import exact_ot
 from .regularized import (
@@ -55,20 +55,26 @@ class ConfigError(ValueError):
     pass
 
 
+# a key's schema is a type, a tuple of types, or a dict checked like the config
 _NUMBER = (int, float)
 _SOLVER_KEYS = {"epsilon": _NUMBER, "tol": _NUMBER, "max_iter": int}
-_COST_KEYS = {"cost": dict, "rescale_median": bool}
+_COST_KEYS = {"cost": {"type": str, "path": str, "lo": _NUMBER, "hi": _NUMBER,
+                       "h": int, "w": int},
+              "rescale_median": bool}
 # the regularizer and its forward-backward solver, shared by regbary and flow
 _REGULARIZED_KEYS = {"lambda": _NUMBER, "beta": int, "regularizer": str,
                      "rho": _NUMBER, "indices": list, "values": list,
-                     "operator": (str, dict), "accel": bool, "tau": _NUMBER}
+                     "operator": (str, {"type": str, "edges": list}),
+                     "accel": bool, "tau": _NUMBER}
 _CONFIG_SCHEMAS = {
     "barycenter": {**_SOLVER_KEYS, **_COST_KEYS, "weights": list,
                    "step_rule": str, "tau": _NUMBER},
     "regbary": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS,
                 "weights": list},
     "flow": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS, "steps": int},
-    "semidiscrete": {**_SOLVER_KEYS, "step": _NUMBER, "source": dict,
+    "semidiscrete": {**_SOLVER_KEYS, "step": _NUMBER,
+                     "source": {"type": str, "n": int, "lo": _NUMBER, "hi": _NUMBER,
+                                "d": int, "seed": int},
                      "seed": int},
 }
 
@@ -92,22 +98,30 @@ def load_config(path, command: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    schema = _CONFIG_SCHEMAS[command]
-    bad = []
-    for key, value in raw.items():
-        if key not in schema:
-            bad.append(f"{key} (unknown key)")
-            continue
-        expected = schema[key] if isinstance(schema[key], tuple) else (schema[key],)
-        ok = isinstance(value, expected)
-        if isinstance(value, bool) and bool not in expected:
-            ok = False  # bool is an int subclass; reject it for numeric keys
-        if not ok:
-            names = "/".join(t.__name__ for t in expected)
-            bad.append(f"{key} (expected {names})")
+    bad = _offending_keys(raw, _CONFIG_SCHEMAS[command])
     if bad:
         raise ConfigError(f"{path}: offending config keys: " + ", ".join(sorted(bad)))
     return _Section(raw)
+
+
+def _offending_keys(raw: dict, schema: dict, prefix: str = "") -> list:
+    """The keys of `raw` (dotted below nested objects) unknown to `schema` or mistyped."""
+    bad = []
+    for key, value in raw.items():
+        if key not in schema:
+            bad.append(f"{prefix}{key} (unknown key)")
+            continue
+        expected = schema[key] if isinstance(schema[key], tuple) else (schema[key],)
+        nested = next((t for t in expected if isinstance(t, dict)), None)
+        if nested is not None and isinstance(value, dict):
+            bad += _offending_keys(value, nested, f"{prefix}{key}.")
+            continue
+        types = tuple(dict if isinstance(t, dict) else t for t in expected)
+        # bool is an int subclass; reject it for numeric keys
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            names = "/".join(t.__name__ for t in types)
+            bad.append(f"{prefix}{key} (expected {names})")
+    return bad
 
 
 def _solver_kw(cfg, *keys) -> dict:
@@ -136,11 +150,9 @@ def _build_cost(cfg, n: int, shape, path_hint: str):
     elif spec.get("type") == "file":
         cost = fileio.read_matrix(spec["path"])
     elif spec.get("type") == "grid1d":
-        cost = CostMatrix.squared_euclidean(
-            grid_points_1d(n, float(spec["lo"]), float(spec["hi"]))
-        ).entries
+        cost = CostMatrix.squared_euclidean(grid_points_1d(n, spec["lo"], spec["hi"])).entries
     elif spec.get("type") == "grid2d":
-        h, w = int(spec["h"]), int(spec["w"])
+        h, w = spec["h"], spec["w"]
         if h * w != n:
             raise ConfigError("grid2d dimensions do not match the data size")
         cost = GridCost2D(h, w)
@@ -216,7 +228,13 @@ def cmd_distance(args) -> int:
             res = sinkhorn(a, b, cost, args.epsilon, tol=args.tol,
                            max_iter=args.max_iter)
         except IterationLimitError as exc:
+            # no plan is written: an unconverged plan may miss the marginals
             print(f"distance: {exc}", file=sys.stderr)
+            f, g = exc.best
+            _json_out({"converged": False,
+                       "dual_value": dual_value(f, g, a, b, cost, args.epsilon),
+                       "iterations": exc.iterations, "residual": exc.residual,
+                       "epsilon": args.epsilon}, args.out)
             return EXIT_NO_CONVERGENCE
         plan = res.coupling.matrix
         payload = {
@@ -229,7 +247,7 @@ def cmd_distance(args) -> int:
         }
     if args.dump_coupling:
         fileio.write_matrix(args.dump_coupling, plan)
-    _json_out(payload, args.out)
+    _json_out({**payload, "converged": True}, args.out)
     return EXIT_OK
 
 
@@ -358,11 +376,11 @@ def _make_source(cfg, args):
     kind = spec.get("type")
     if kind not in ("grid1d", "uniform_random"):
         raise ConfigError(f"unknown source type {kind!r}")
-    n, lo, hi = int(spec["n"]), float(spec["lo"]), float(spec["hi"])
+    n, lo, hi = spec["n"], spec["lo"], spec["hi"]
     if kind == "grid1d":
         return SampledMeasure.uniform_grid_1d(n, lo, hi)
-    rng = np.random.default_rng(int(spec.get("seed", cfg.get("seed", 0))))
-    pts = rng.uniform(lo, hi, size=(n, int(spec.get("d", 1))))
+    rng = np.random.default_rng(spec.get("seed", cfg.get("seed", 0)))
+    pts = rng.uniform(lo, hi, size=(n, spec.get("d", 1)))
     return SampledMeasure(pts, np.full(n, 1.0 / n))
 
 

@@ -234,15 +234,19 @@ class GridCost2D(CostMatrix):
     def median(self) -> float:
         """np.median of the entries, from the per-axis factors alone.
 
-        The one or two middle order statistics of the sums
-        row_sq[i, k] + col_sq[j, l] come from `_kth_pair_sum`, and two are
-        averaged as np.median averages them.
+        The entries are the sums of a distinct value of row_sq and one of
+        col_sq, each sum repeated by the product of their multiplicities, so
+        the one or two middle order statistics are read off the cumulative
+        count of the sorted sums (about h x w of them) and averaged as
+        np.median averages them.
         """
-        count = self.shape[0] ** 2
-        med = _kth_pair_sum(self.row_sq, self.col_sq, (count - 1) // 2)
-        if count % 2 == 0:
-            med = (med + _kth_pair_sum(self.row_sq, self.col_sq, count // 2)) / 2
-        return med
+        xs, x_counts = np.unique(self.row_sq, return_counts=True)
+        ys, y_counts = np.unique(self.col_sq, return_counts=True)
+        sums = (xs[:, None] + ys[None, :]).ravel()
+        order = np.argsort(sums)
+        below = np.cumsum(np.outer(x_counts, y_counts).ravel()[order])
+        middle = np.searchsorted(below, [(below[-1] - 1) // 2, below[-1] // 2], side="right")
+        return float(sums[order[middle]].mean())
 
     def median_rescaled(self) -> "GridCost2D":
         """Grid cost divided by its median, with the structure retained."""
@@ -251,46 +255,6 @@ class GridCost2D(CostMatrix):
             raise ValueError("cost median must be positive to rescale")
         h, w = self.grid_shape
         return GridCost2D(h, w, scale=self.scale / med)
-
-
-def _kth_pair_sum(x, y, k: int) -> float:
-    """The k-th smallest (from 0) float sum x_p + y_q over all pairs of entries.
-
-    x and y are nonnegative, so the bit pattern of a threshold t orders like
-    t itself: bisecting on it finds the smallest t with more than k sums
-    fl(x_p + y_q) <= t, which is that sum.  Each count runs on the sorted
-    distinct values of x and y: fl(x + y) is nondecreasing in x, so for each
-    y the x values that count form a prefix, whose end `searchsorted` finds
-    up to rounding and a few exact steps settle.
-    """
-    xs, x_counts = np.unique(x, return_counts=True)
-    ys, y_counts = np.unique(y, return_counts=True)
-    below = np.concatenate(([0], np.cumsum(x_counts)))  # entries of x under xs[p]
-
-    def count_at_most(t):
-        p = np.searchsorted(xs, t - ys, side="right")
-        while True:
-            down = p > 0
-            down[down] = xs[p[down] - 1] + ys[down] > t
-            if not down.any():
-                break
-            p -= down
-        while True:
-            up = p < xs.size
-            up[up] = xs[p[up]] + ys[up] <= t
-            if not up.any():
-                break
-            p += up
-        return int(below[p] @ y_counts)
-
-    lo, hi = 0, int(np.float64(xs[-1] + ys[-1]).view(np.int64))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count_at_most(np.int64(mid).view(np.float64)) > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(np.int64(lo).view(np.float64))
 
 
 # shifted kernel sums below this are recomputed in the log domain

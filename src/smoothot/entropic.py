@@ -259,7 +259,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         if grid:
             # the grid sweep applies the kernel to f again rather than carry
             # log_kf over from the last sweep: the same numbers, one apply
-            # more (ROADMAP item 1 drops it)
+            # more (ROADMAP item 4 drops it)
             log_kf = log_k_cols(f / epsilon + ma)
         # one full sweep: column transform then row transform, in log domain;
         # log_kf is both the last sweep's column residual and this g-update

@@ -31,16 +31,14 @@ class ExactOTResult:
 
 
 def _northwest_corner(a, b, zero):
-    """Initial basic feasible spanning tree by the north-west-corner rule."""
+    """Initial basic feasible spanning tree by the north-west-corner rule, {arc: flow}."""
     n, m = len(a), len(b)
     rem_a = list(a)
     rem_b = list(b)
     flows = {}
-    basis = []
     i = j = 0
     while True:
         x = min(rem_a[i], rem_b[j])
-        basis.append((i, j))
         flows[(i, j)] = x
         rem_a[i] -= x
         rem_b[j] -= x
@@ -54,7 +52,7 @@ def _northwest_corner(a, b, zero):
             j += 1
         else:
             i += 1
-    return basis, flows
+    return flows
 
 
 def _tree_structure(basis, n, m):
@@ -81,15 +79,15 @@ def _tree_structure(basis, n, m):
     return parent, order
 
 
-def _duals(basis_cost, parent, order, n, m, zero):
+def _duals(cf, parent, order, n, m, zero):
     u = [zero] * n
     v = [zero] * m
     for node in order[1:]:
         p = parent[node]
         if node >= n:  # column node, parent is a row
-            v[node - n] = basis_cost[(p, node - n)] - u[p]
+            v[node - n] = cf[p, node - n] - u[p]
         else:
-            u[node] = basis_cost[(node, parent[node] - n)] - v[parent[node] - n]
+            u[node] = cf[node, p - n] - v[p - n]
     return u, v
 
 
@@ -111,14 +109,14 @@ def _cycle(parent, n, enter_i, enter_j):
     return cyc  # node cycle: enter_i ... lca ... n+enter_j
 
 
-def exact_ot(a, b, cost, *, rational: bool = False,
-             max_pivots: int | None = None) -> ExactOTResult:
+def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
     """Solve the transportation LP exactly by primal network simplex.
 
     Entering arcs are chosen by most-negative reduced cost (deterministic
     lowest flat index on ties); after a streak of degenerate pivots the rule
     switches to Bland's lowest-index selection until progress resumes, which
-    prevents cycling.  With rational=True all arithmetic runs in Fractions
+    prevents cycling; more than 200 (n + m)^2 + 1000 pivots raise
+    RuntimeError.  With rational=True all arithmetic runs in Fractions
     (inputs converted exactly from their binary float values), certifying the
     optimal vertex; demands are then rescaled to balance mass exactly.
     """
@@ -147,13 +145,10 @@ def exact_ot(a, b, cost, *, rational: bool = False,
         zero = 0.0
         tol = 1e-12 * max(1.0, float(np.abs(c).max()))
 
-    basis, flows = _northwest_corner(av, bv, zero)
-    basis_cost = {(i, j): cf[i, j] for i, j in basis}
-    parent, order = _tree_structure(basis, n, m)
-    u, v = _duals(basis_cost, parent, order, n, m, zero)
+    flows = _northwest_corner(av, bv, zero)  # the basic arcs and their flows
+    parent, order = _tree_structure(flows, n, m)
+    u, v = _duals(cf, parent, order, n, m, zero)
 
-    if max_pivots is None:
-        max_pivots = 200 * (n + m) ** 2 + 1000
     pivots = 0
     degenerate_streak = 0
     while True:
@@ -171,7 +166,7 @@ def exact_ot(a, b, cost, *, rational: bool = False,
             enter = divmod(flat, m)
 
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > 200 * (n + m) ** 2 + 1000:
             raise RuntimeError("network simplex exceeded its pivot budget")
         cyc = _cycle(parent, n, enter[0], enter[1])
         # walk the closed node cycle; the final edge is the entering arc and
@@ -195,11 +190,8 @@ def exact_ot(a, b, cost, *, rational: bool = False,
             flows[arc] += theta if sign > 0 else -theta
         flows[(enter[0], enter[1])] = theta
         del flows[leaving]
-        basis_cost.pop(leaving)
-        basis_cost[(enter[0], enter[1])] = cf[enter]
-        basis = list(basis_cost.keys())
-        parent, order = _tree_structure(basis, n, m)
-        u, v = _duals(basis_cost, parent, order, n, m, zero)
+        parent, order = _tree_structure(flows, n, m)
+        u, v = _duals(cf, parent, order, n, m, zero)
 
     plan = np.zeros((n, m))
     value_exact = zero
@@ -232,7 +224,7 @@ def quantile_coupling_1d(a, x, b, y, p: float = 2.0):
     if p < 1:
         raise ValueError("exponent p must be at least 1")
 
-    basis, flows = _northwest_corner(list(aw), list(bw), 0.0)
+    flows = _northwest_corner(list(aw), list(bw), 0.0)
     plan = np.zeros((aw.size, bw.size))
     for (i, j), fl in flows.items():
         plan[i, j] = fl

@@ -156,6 +156,29 @@ class TestSolveBarycenter:
         assert trace.converged
         assert trace.monitors[-1] < 1e-8
 
+    def test_hook_receives_the_last_ten_steps_as_pairs(self):
+        rng = np.random.default_rng(65)
+        prob = line_problem(rng, 8, 3, 0.1)
+        inner = lbfgs_direction(fallback_step=prob.epsilon / 2)
+        calls = []
+
+        def recording(F, grad, pairs):
+            calls.append((F.copy(), grad.copy(), list(pairs)))
+            return inner(F, grad, pairs)
+
+        with pytest.raises(IterationLimitError):
+            solve_barycenter(prob, step_rule=recording, tol=0.0, max_iter=25)
+        assert len(calls) > 11
+        for k, (_, _, pairs) in enumerate(calls):
+            assert len(pairs) == min(k, 10)
+            # the newest pair is the step into the iterate the hook is called at
+            for j, (s, y, sy) in enumerate(reversed(pairs)):
+                f_next, g_next, _ = calls[k - j]
+                f_prev, g_prev, _ = calls[k - j - 1]
+                assert np.array_equal(s, (f_next - f_prev).ravel())
+                assert np.array_equal(y, (g_next - g_prev).ravel())
+                assert sy == float(s @ y)
+
     def test_iteration_limit_error_payload(self):
         rng = np.random.default_rng(63)
         prob = line_problem(rng, 8, 3, 0.05)

@@ -10,7 +10,8 @@ import pytest
 import smoothot
 from smoothot import cli, fileio, regularized
 from smoothot.barycenter import BarycenterProblem
-from smoothot.core import CostMatrix, GridCost2D, grid_points_1d
+from smoothot.core import CostMatrix, GridCost2D, IterationLimitError, grid_points_1d
+from smoothot.entropic import dual_value, sinkhorn
 from smoothot.cli import main
 from smoothot.semidiscrete import DiscreteTarget, SampledMeasure, semidiscrete_objective_grad
 
@@ -175,6 +176,31 @@ class TestDistanceCommand:
                     "--epsilon", "0.01", "--tol", "1e-14", "--max-iter", "3",
                     "--out", tmp_path / "o.json"])
         assert code == 3
+
+    def test_no_convergence_writes_the_best_dual_value(self, tmp_path):
+        rng = np.random.default_rng(114)
+        a = rng.dirichlet(np.ones(6))
+        b = rng.dirichlet(np.ones(6))
+        c = rng.uniform(size=(6, 6))
+        fileio.write_matrix(tmp_path / "c.csv", c)
+        argv = ["distance", "--a", write_vec(tmp_path / "a.txt", a),
+                "--b", write_vec(tmp_path / "b.txt", b), "--cost", tmp_path / "c.csv",
+                "--epsilon", "0.01", "--out", tmp_path / "o.json",
+                "--dump-coupling", tmp_path / "p.csv"]
+        code = run(argv + ["--tol", "1e-14", "--max-iter", "3"])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert not (tmp_path / "p.csv").exists()
+        payload = json.loads((tmp_path / "o.json").read_text())
+        with pytest.raises(IterationLimitError) as info:
+            sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=3)
+        f, g = info.value.best
+        assert payload["converged"] is False
+        assert payload["dual_value"] == dual_value(f, g, a, b, c, 0.01)
+        assert payload["iterations"] == 3
+        assert payload["residual"] == info.value.residual
+        assert run(argv) == cli.EXIT_OK
+        assert json.loads((tmp_path / "o.json").read_text())["converged"] is True
+        assert (tmp_path / "p.csv").exists()
 
 
 def barycenter_config(tmp_path, **overrides):
@@ -476,6 +502,19 @@ class TestCommandPipeline:
         payload = json.loads(summary.read_text())
         assert payload["converged"] is False
         assert payload["steps"] == 1 and payload["records"] == []
+
+    @pytest.mark.parametrize("command, change, key", [
+        ("barycenter", {"cost": {"type": "grid1d", "lo": "zero", "hi": 1.0}}, "cost.lo"),
+        ("barycenter", {"cost": {"type": "grid2d", "h": 2.5, "w": 3}}, "cost.h"),
+        ("regbary", {"operator": {"type": "graph", "edges": "chain"}}, "operator.edges"),
+        ("semidiscrete", {"source": {"type": "grid1d", "n": 200.0, "lo": -1.0, "hi": 1.0}},
+         "source.n"),
+    ])
+    def test_mistyped_nested_value_is_a_config_error(self, tmp_path, capsys, command,
+                                                    change, key):
+        code, _, _ = config_run(tmp_path, command, {**CONVERGING[command], **change})
+        assert code == cli.EXIT_CONFIG
+        assert f"{key} (expected " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, change, key", [
         ("regbary", {"regularizer": "quadratic", "lambda": None}, "lambda"),

@@ -219,7 +219,7 @@ class TestGridCost2D:
         assert gc.median() == pytest.approx(1.0, abs=1e-15)
         assert "entries" not in vars(gc)
 
-    @pytest.mark.parametrize("h, w", [(2, 3), (4, 4), (7, 5), (24, 24)])
+    @pytest.mark.parametrize("h, w", [(2, 3), (4, 4), (7, 5), (24, 24), (1, 9), (32, 17)])
     def test_median_without_entries(self, h, w):
         for scale in (1.0, 0.37):
             gc = GridCost2D(h, w, scale)
