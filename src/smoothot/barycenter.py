@@ -94,22 +94,27 @@ def project_constraint(F, weights) -> np.ndarray:
     lam = np.asarray(weights, dtype=float)
     if not lam.any():
         raise ValueError("weights must be nonzero")
-    fm = np.asarray(F, dtype=float)
-    return fm - np.outer(fm @ lam, lam) / float(lam @ lam)
+    return _project(np.asarray(F, dtype=float), lam, float(lam @ lam))
+
+
+def _project(F, lam, lam_sq):
+    return F - (F @ lam)[:, None] * lam[None, :] / lam_sq  # np.outer's product
 
 
 def _monitor_and_mean(deltas):
-    centered = deltas - deltas.mean(axis=1, keepdims=True)
-    monitor = float(np.sqrt((centered * centered).mean(axis=1)).sum())
-    return monitor, deltas.mean(axis=1)
+    # means as sum / count: ndarray.mean's arithmetic without its wrapper
+    count = deltas.shape[1]
+    mean = deltas.sum(axis=1) / count
+    centered = deltas - mean[:, None]
+    return float(np.sqrt((centered * centered).sum(axis=1) / count).sum()), mean
 
 
-def _feasible(F, lam):
+def _feasible(F, lam, lam_sq):
     # The objective is invariant under F += 1 c^T with <c, lam> = 0, so after
     # projecting we also zero the column means; this fixes the flat gauge
     # directions without moving the objective or the gradients.
-    proj = project_constraint(F, lam)
-    return proj - proj.mean(axis=0, keepdims=True)
+    proj = _project(F, lam, lam_sq)
+    return proj - proj.sum(axis=0, keepdims=True) / proj.shape[0]
 
 
 StepRule = Union[str, Callable]
@@ -141,6 +146,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     if np.any(problem.histograms <= 0):
         raise ValueError("input histograms must be strictly positive")
     lam = problem.weights
+    lam_sq = float(lam @ lam)
     F = np.zeros_like(problem.histograms)
     step = problem.epsilon / 2 if tau is None else float(tau)
     hook = step_rule if callable(step_rule) else None
@@ -158,7 +164,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
         # first (F, objective, deltas) along -direction that does not raise the
         # objective, or None once scale <= floor fails; plus the last scale
         while True:
-            candidate = _feasible(F - scale * direction, lam)
+            candidate = _feasible(F - scale * direction, lam, lam_sq)
             cand_obj, cand_deltas = evaluate(candidate)
             if cand_obj <= objective:
                 return (candidate, cand_obj, cand_deltas), scale
@@ -174,7 +180,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     for it in range(max_iter):
         # work with the projected gradient: identical steps after projection,
         # and quasi-Newton pairs must live in the constraint subspace
-        grad = project_constraint(deltas * lam[None, :], lam)
+        grad = _project(deltas * lam[None, :], lam, lam_sq)
         monitor, mean_delta = _monitor_and_mean(deltas)
         trace.objectives.append(objective)
         trace.monitors.append(monitor)
@@ -186,7 +192,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
             break
 
         if step_rule == "fixed":
-            candidate = _feasible(F - step * grad, lam)
+            candidate = _feasible(F - step * grad, lam, lam_sq)
             accepted = (candidate, *evaluate(candidate))
         else:
             accepted = None
@@ -242,13 +248,13 @@ def lbfgs_direction(fallback_step: Optional[float] = None):
         q = grad.ravel().copy()
         alphas = []
         for s, y, sy in reversed(pairs):
-            alpha = (s @ q) / sy
+            alpha = float(s @ q) / sy
             q -= alpha * y
             alphas.append(alpha)
         s, y, sy = pairs[-1]
         q *= sy / float(y @ y)
         for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-            beta = (y @ q) / sy
+            beta = float(y @ q) / sy
             q += (alpha - beta) * s
         return q.reshape(F.shape)
 

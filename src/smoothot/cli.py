@@ -209,8 +209,24 @@ def cmd_distance(args) -> int:
     cost = _build_cost({"cost": spec, "rescale_median": args.rescale_median},
                        a.size, None, "distance")
 
+    start = time.perf_counter()
+    try:
+        if args.epsilon == 0:
+            res = exact_ot(a, b, cost)
+        else:
+            res = sinkhorn(a, b, cost, args.epsilon, tol=args.tol, max_iter=args.max_iter)
+    except IterationLimitError as exc:
+        wall = time.perf_counter() - start
+        # no plan is written: an unconverged plan may miss the marginals
+        print(f"distance: {exc}", file=sys.stderr)
+        f, g = exc.best
+        _json_out({"converged": False,
+                   "dual_value": dual_value(f, g, a, b, cost, args.epsilon),
+                   "iterations": exc.iterations, "residual": exc.residual,
+                   "epsilon": args.epsilon, "wall_time": wall}, args.out)
+        return EXIT_NO_CONVERGENCE
+    wall = time.perf_counter() - start
     if args.epsilon == 0:
-        res = exact_ot(a, b, cost)
         plan = res.coupling
         payload = {
             "value": res.value,
@@ -224,18 +240,6 @@ def cmd_distance(args) -> int:
             "epsilon": 0.0,
         }
     else:
-        try:
-            res = sinkhorn(a, b, cost, args.epsilon, tol=args.tol,
-                           max_iter=args.max_iter)
-        except IterationLimitError as exc:
-            # no plan is written: an unconverged plan may miss the marginals
-            print(f"distance: {exc}", file=sys.stderr)
-            f, g = exc.best
-            _json_out({"converged": False,
-                       "dual_value": dual_value(f, g, a, b, cost, args.epsilon),
-                       "iterations": exc.iterations, "residual": exc.residual,
-                       "epsilon": args.epsilon}, args.out)
-            return EXIT_NO_CONVERGENCE
         plan = res.coupling.matrix
         payload = {
             "value": primal_value(a, b, cost, args.epsilon, res.coupling),
@@ -247,7 +251,7 @@ def cmd_distance(args) -> int:
         }
     if args.dump_coupling:
         fileio.write_matrix(args.dump_coupling, plan)
-    _json_out({**payload, "converged": True}, args.out)
+    _json_out({**payload, "converged": True, "wall_time": wall}, args.out)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
-"""Exact small-scale transport solvers used as ground truth in tests.
+"""Exact small-scale transport solvers.
 
 `exact_ot` is a self-contained network simplex on the transportation polytope
 (optionally in rational arithmetic, so vertex values are certified exact).
-`exact_wbp` solves the barycenter linear program through scipy's HiGHS
-backend.  `quantile_coupling_1d` is the monotone north-west-corner plan,
-optimal on the line for convex costs.
+`smoothot distance --epsilon 0` runs it, and the tests use it as ground
+truth.  A pivot updates the basis tree in place, re-hanging only the subtree
+it cuts off; pricing is one numpy pass.  `exact_wbp` solves the barycenter
+linear program through scipy's HiGHS backend.  `quantile_coupling_1d` is the
+monotone north-west-corner plan, optimal on the line for convex costs.
 """
 
 from __future__ import annotations
@@ -55,67 +57,19 @@ def _northwest_corner(a, b, zero):
     return flows
 
 
-def _tree_structure(basis, n, m):
-    """Parent pointers and preorder for the basis tree rooted at row 0."""
-    adj = [[] for _ in range(n + m)]
-    for i, j in basis:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    parent = [-1] * (n + m)
-    order = [0]
-    seen = [False] * (n + m)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    if not all(seen):
-        raise RuntimeError("basis does not span the bipartite graph")
-    return parent, order
-
-
-def _duals(cf, parent, order, n, m, zero):
-    u = [zero] * n
-    v = [zero] * m
-    for node in order[1:]:
-        p = parent[node]
-        if node >= n:  # column node, parent is a row
-            v[node - n] = cf[p, node - n] - u[p]
-        else:
-            u[node] = cf[node, p - n] - v[p - n]
-    return u, v
-
-
-def _cycle(parent, n, enter_i, enter_j):
-    """Alternating cycle closed by the entering arc (enter_i, enter_j)."""
-    path_i = [enter_i]
-    node = enter_i
-    while parent[node] != -1:
-        node = parent[node]
-        path_i.append(node)
-    path_j = [n + enter_j]
-    node = n + enter_j
-    while parent[node] != -1:
-        node = parent[node]
-        path_j.append(node)
-    set_i = {u: k for k, u in enumerate(path_i)}
-    lca = next(u for u in path_j if u in set_i)
-    cyc = path_i[: set_i[lca] + 1] + list(reversed(path_j[: path_j.index(lca)]))
-    return cyc  # node cycle: enter_i ... lca ... n+enter_j
-
-
 def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
     """Solve the transportation LP exactly by primal network simplex.
 
-    Entering arcs are chosen by most-negative reduced cost (deterministic
-    lowest flat index on ties); after a streak of degenerate pivots the rule
-    switches to Bland's lowest-index selection until progress resumes, which
-    prevents cycling; more than 200 (n + m)^2 + 1000 pivots raise
+    The basis tree, rooted at row 0, keeps parent pointers, depths, node
+    duals and each arc's flow on its child node.  A pivot finds the cycle by
+    walking the entering arc's endpoints up to their common ancestor, then
+    re-hangs only the subtree that the leaving arc cuts off, under the other
+    endpoint, recomputing that subtree's depths and duals (dual = cost - dual
+    of the parent: a full rebuild's arithmetic, bit for bit).  Entering arcs
+    have the most negative reduced cost (lowest flat index on ties); after 25
+    degenerate pivots in a row Bland's lowest-index rule takes over until
+    progress resumes, which prevents cycling.  The leaving arc is the lowest
+    (row, column) blocking arc.  More than 200 (n + m)^2 + 1000 pivots raise
     RuntimeError.  With rational=True all arithmetic runs in Fractions
     (inputs converted exactly from their binary float values), certifying the
     optimal vertex; demands are then rescaled to balance mass exactly.
@@ -139,70 +93,129 @@ def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
         zero = Fraction(0)
         tol = Fraction(0)
     else:
-        av = list(aw)
-        bv = list(bw)
+        av = aw.tolist()
+        bv = bw.tolist()
         cf = c
         zero = 0.0
         tol = 1e-12 * max(1.0, float(np.abs(c).max()))
 
-    flows = _northwest_corner(av, bv, zero)  # the basic arcs and their flows
-    parent, order = _tree_structure(flows, n, m)
-    u, v = _duals(cf, parent, order, n, m, zero)
+    # nodes 0..n-1 are rows, n..n+m-1 columns; flow[x] is the flow on the tree
+    # arc from x to parent[x]; line[x][y - shift[x]] is the cost of arc x-y
+    line = cf.tolist() + cf.T.tolist()
+    shift = [n] * n + [0] * m
+    # the basis in insertion order, which fixes the order of the value's sum;
+    # its flows are read into flow[] here and written back after the last pivot
+    arcs = _northwest_corner(av, bv, zero)
+    adj = [[] for _ in range(n + m)]
+    for i, j in arcs:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    dual = [zero] * (n + m)
+    flow = [zero] * (n + m)
+    duals = np.array(dual, dtype=cf.dtype)  # dual as an array, for pricing
 
+    def hang(top, above):
+        # hang the subtree at top under above; recompute its depths and duals
+        parent[top], depth[top] = above, depth[above] + 1
+        dual[top] = line[above][top - shift[above]] - dual[above]
+        nodes = [top]
+        for x in nodes:  # breadth first, parents before children
+            up, d, dx, row, off = parent[x], depth[x] + 1, dual[x], line[x], shift[x]
+            for y in adj[x]:
+                if y != up:
+                    parent[y], depth[y] = x, d
+                    dual[y] = row[y - off] - dx
+                    nodes.append(y)
+        duals[nodes] = [dual[x] for x in nodes]
+
+    def arc_of(x):
+        up = parent[x]
+        return (x, up - n) if x < n else (up, x - n)
+
+    for y in adj[0]:
+        hang(y, 0)
+    for x in range(1, n + m):
+        flow[x] = arcs[arc_of(x)]
+
+    reduced = np.empty((n, m), dtype=cf.dtype)
     pivots = 0
     degenerate_streak = 0
     while True:
-        # object arrays of Fractions in rational mode, float64 otherwise
-        reduced = cf - np.asarray(u)[:, None] - np.asarray(v)[None, :]
+        np.subtract(cf, duals[:n, None], out=reduced)
+        np.subtract(reduced, duals[None, n:], out=reduced)
         if degenerate_streak >= _DEGENERATE_STREAK:
             neg = np.flatnonzero(reduced.ravel() < -tol)
             if neg.size == 0:
                 break
-            enter = divmod(int(neg[0]), m)
+            flat = int(neg[0])
         else:
             flat = int(np.argmin(reduced))
             if reduced.ravel()[flat] >= -tol:
                 break
-            enter = divmod(flat, m)
 
         pivots += 1
         if pivots > 200 * (n + m) ** 2 + 1000:
             raise RuntimeError("network simplex exceeded its pivot budget")
-        cyc = _cycle(parent, n, enter[0], enter[1])
-        # walk the closed node cycle; the final edge is the entering arc and
-        # carries +1, with signs alternating at every shared node
-        ring = cyc + [cyc[0]]
-        num_edges = len(cyc)
-        arcs = []
-        for k in range(num_edges - 1):  # tree arcs only
-            x, y = ring[k], ring[k + 1]
-            arc = (x, y - n) if y >= n else (y, x - n)
-            sign = +1 if (num_edges - 1 - k) % 2 == 0 else -1
-            arcs.append((arc, sign))
-        minus = [(arc, flows[arc]) for arc, sign in arcs if sign < 0]
-        theta = min(fl for _, fl in minus)
-        leaving = min(arc for arc, fl in minus if fl == theta)
+        ei, ej = divmod(flat, m)
+        # the cycle's tree arcs, as child nodes on each side of the common
+        # ancestor; the entering arc carries +theta, so flow falls on the
+        # row-child arcs above ei and the column-child arcs above n + ej
+        x, y = ei, n + ej
+        side_i, side_j = [], []
+        while depth[x] > depth[y]:
+            side_i.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            side_j.append(y)
+            y = parent[y]
+        while x != y:
+            side_i.append(x)
+            side_j.append(y)
+            x, y = parent[x], parent[y]
+        minus = [x for x in side_i if x < n] + [y for y in side_j if y >= n]
+        theta = min(flow[x] for x in minus)
+        out = min((x for x in minus if flow[x] == theta), key=arc_of)
         if theta == zero:
             degenerate_streak += 1
         else:
             degenerate_streak = 0
-        for arc, sign in arcs:
-            flows[arc] += theta if sign > 0 else -theta
-        flows[(enter[0], enter[1])] = theta
-        del flows[leaving]
-        parent, order = _tree_structure(flows, n, m)
-        u, v = _duals(cf, parent, order, n, m, zero)
+            for x in side_i:
+                flow[x] = flow[x] - theta if x < n else flow[x] + theta
+            for y in side_j:
+                flow[y] = flow[y] - theta if y >= n else flow[y] + theta
+        arcs[(ei, ej)] = None
+        del arcs[arc_of(out)]
+        # the leaving arc cuts off the subtree holding the endpoint on its side
+        # (blocking arcs above ei have row children); the stem from there up
+        # to the leaving arc reverses, which moves its flows down one arc
+        top, below = (ei, n + ej) if out < n else (n + ej, ei)
+        above = parent[out]
+        x, carry = top, theta
+        while True:
+            flow[x], carry = carry, flow[x]
+            if x == out:
+                break
+            x = parent[x]
+        adj[out].remove(above)
+        adj[above].remove(out)
+        adj[top].append(below)
+        adj[below].append(top)
+        hang(top, below)
 
+    for x in range(1, n + m):
+        arcs[arc_of(x)] = flow[x]
     plan = np.zeros((n, m))
     value_exact = zero
-    for (i, j), fl in flows.items():
+    for (i, j), fl in arcs.items():
         plan[i, j] = float(fl)
-        value_exact += cf[i, j] * fl
+        value_exact += line[i][j] * fl
     return ExactOTResult(
         coupling=plan,
         value=float(value_exact),
-        row_duals=np.asarray([float(x) for x in u]),
-        col_duals=np.asarray([float(x) for x in v]),
+        row_duals=np.asarray([float(x) for x in dual[:n]]),
+        col_duals=np.asarray([float(x) for x in dual[n:]]),
         pivots=pivots,
     )
 

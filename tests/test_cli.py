@@ -99,6 +99,7 @@ class TestDistanceCommand:
         payload = json.loads(out.read_text())
         assert payload["value"] == pytest.approx(0.25, abs=1e-12)
         assert payload["dual_value"] == pytest.approx(0.25, abs=1e-9)
+        assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0
 
     def test_huge_epsilon_product_coupling(self, tmp_path):
         rng = np.random.default_rng(113)
@@ -198,8 +199,11 @@ class TestDistanceCommand:
         assert payload["dual_value"] == dual_value(f, g, a, b, c, 0.01)
         assert payload["iterations"] == 3
         assert payload["residual"] == info.value.residual
+        assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0
         assert run(argv) == cli.EXIT_OK
-        assert json.loads((tmp_path / "o.json").read_text())["converged"] is True
+        payload = json.loads((tmp_path / "o.json").read_text())
+        assert payload["converged"] is True
+        assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0
         assert (tmp_path / "p.csv").exists()
 
 

@@ -81,6 +81,43 @@ class TestExactOT:
         assert np.abs(res.coupling.sum(axis=1) - a).max() <= 1e-12
         assert np.abs(res.coupling.sum(axis=0) - b).max() <= 1e-12
 
+    def test_bland_rule_degenerate_instance_certified(self):
+        # uniform masses and costs in {0, 1, 2}: long degenerate streaks, so
+        # this instance takes Bland's branch (11 pivots of its 151); its ties
+        # also pin the entering and leaving tie-breaks and the streak length
+        n = 60
+        a = np.full(n, 1.0 / n)
+        c = np.random.default_rng(3).integers(0, 3, size=(n, n)).astype(float)
+        values = []
+        for rational in (False, True):
+            res = exact_ot(a, a, c, rational=rational)
+            assert res.pivots == 151
+            plan = res.coupling
+            assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+            assert np.abs(plan.sum(axis=0) - a).max() <= 1e-12
+            reduced = c - res.row_duals[:, None] - res.col_duals[None, :]
+            assert reduced.min() >= -1e-11                     # dual feasibility
+            assert np.abs(reduced[plan > 0]).max() <= 1e-12    # complementary slackness
+            values.append(res.value)
+        assert abs(values[0] - values[1]) <= 1e-12
+
+    def test_pivot_sequence_pinned(self):
+        # the entering rule (most negative reduced cost) fixes the pivot
+        # count on a random instance, which has no ties
+        rng = np.random.default_rng(150)
+        a, b = rng.uniform(0.1, 1.0, size=(2, 150))
+        a, b = a / a.sum(), b / b.sum()
+        c = rng.uniform(size=(150, 150))
+        res = exact_ot(a, b, c)
+        assert res.pivots == 1419
+        plan = res.coupling
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+        reduced = c - res.row_duals[:, None] - res.col_duals[None, :]
+        assert reduced.min() >= -1e-11
+        assert np.abs(reduced[plan > 0]).max() <= 1e-12
+        assert abs(res.value - float(res.row_duals @ a + res.col_duals @ b)) <= 1e-12
+
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValueError):
             exact_ot([1.0], [0.5, 0.49], np.zeros((1, 2)))
