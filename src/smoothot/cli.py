@@ -65,13 +65,13 @@ _COST_KEYS = {"cost": {"type": str, "path": str, "lo": _NUMBER, "hi": _NUMBER,
 _REGULARIZED_KEYS = {"lambda": _NUMBER, "beta": int, "regularizer": str,
                      "rho": _NUMBER, "indices": list, "values": list,
                      "operator": (str, {"type": str, "edges": list}),
-                     "accel": bool, "tau": _NUMBER}
+                     "accel": bool}
 _CONFIG_SCHEMAS = {
-    "barycenter": {**_SOLVER_KEYS, **_COST_KEYS, "weights": list,
-                   "step_rule": str, "tau": _NUMBER},
+    "barycenter": {**_SOLVER_KEYS, **_COST_KEYS, "weights": list, "step_rule": str},
     "regbary": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS,
                 "weights": list},
-    "flow": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS, "steps": int},
+    "flow": {**_SOLVER_KEYS, **_COST_KEYS, **_REGULARIZED_KEYS, "steps": int,
+             "tau": _NUMBER},
     "semidiscrete": {**_SOLVER_KEYS, "step": _NUMBER,
                      "source": {"type": str, "n": int, "lo": _NUMBER, "hi": _NUMBER,
                                 "d": int, "seed": int},
@@ -284,7 +284,7 @@ def cmd_barycenter(args) -> int:
     return _run(
         args,
         lambda: solve_barycenter(
-            problem, **_solver_kw(cfg, "step_rule", "tol", "max_iter", "tau")),
+            problem, **_solver_kw(cfg, "step_rule", "tol", "max_iter")),
         write=lambda out: _write_barycenter(args, out[0], shape),
         summarize=lambda out: {"objective_trace": out[1].objectives,
                                "monitor_trace": out[1].monitors,
@@ -329,7 +329,7 @@ def cmd_regbary(args) -> int:
     return _run(
         args,
         lambda: solve_regularized(
-            problem, op, reg, **_solver_kw(cfg, "accel", "tol", "max_iter", "tau"),
+            problem, op, reg, **_solver_kw(cfg, "accel", "tol", "max_iter"),
             full_output=True),
         write=lambda out: _write_barycenter(args, out.barycenter, shape),
         summarize=lambda out: {"objective_trace": out.objectives,

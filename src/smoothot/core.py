@@ -445,6 +445,23 @@ def softmin(u, epsilon: float) -> float:
     return m - epsilon * float(np.log(np.exp(-(v - m) / epsilon).sum()))
 
 
+def _halving_search(x, direction, t, floor, prox, value, bound):
+    """The package's one step search: halve t until a trial passes `bound`.
+
+    Tries trial = prox(x - t*direction, t) for t, t/2, t/4, ... and accepts
+    the first whose value(trial) = (v, extra) has v <= bound(t, trial).
+    Returns ((trial, v, extra), t), or (None, t) once a t <= floor fails.
+    """
+    while True:
+        trial = prox(x - t * direction, t)
+        v, extra = value(trial)
+        if v <= bound(t, trial):
+            return (trial, v, extra), t
+        if t <= floor:
+            return None, t
+        t *= 0.5
+
+
 def entropy(p) -> float:
     """Discrete entropy -sum p*(log(p) - 1), with 0*log(0) = 0.
 

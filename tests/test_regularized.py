@@ -194,6 +194,16 @@ class TestSolveRegularized:
                                 obj_tol=1e-13, obj_window=200)
         assert np.abs(res.weights - a_ref.weights).sum() <= 1e-5
 
+    def test_zero_bins_are_the_limit_of_positive_bins(self):
+        B = two_shapes(6, 6, floor=0.0)  # each shape is zero off its support
+        delta = 1e-13
+        near = (B + delta * (B == 0)) / (1 + delta * (B == 0).sum(axis=0))
+        a, b = (solve_regularized(BarycenterProblem(Bx, [0.5, 0.5], GridCost2D(6, 6), 0.1),
+                                  grid_gradient((6, 6)), make_regularizer("tv_iso", lam=0.1),
+                                  accel=True, tol=1e-9, obj_tol=None)
+                for Bx in (B, near))
+        assert np.abs(a.weights - b.weights).sum() <= 1e-7
+
     def test_quadratic_spread_pulls_toward_uniform(self):
         # with J = (lam/2)|a|^2 (so J* = |f|^2/(2 lam)), growing lam enforces
         # spread and drives the barycenter toward the uniform histogram
