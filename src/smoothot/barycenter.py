@@ -18,7 +18,7 @@ from .core import (Histogram, IterationLimitError, _halving_search, as_cost,
                    as_kernel_cost, as_weights)
 from .entropic import _log_kernels, ctransform_of_f, sinkhorn
 # the value half, under the name at which perfbench's tracer counts evaluations
-from .legendre import _semidual as semidual_conjugate_batch
+from .legendre import _semidual as semidual_conjugate_batch, _semidual_terms
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,8 @@ def dual_objective_grad(F, problem: BarycenterProblem):
     """
     if not problem.epsilon > 0:
         raise ValueError("the semidual transform requires epsilon > 0")
-    values, gradient = semidual_conjugate_batch(
-        np.asarray(F, dtype=float), problem.histograms,
-        _log_kernels(problem.cost, problem.epsilon), problem.epsilon)
+    terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
+    values, gradient = semidual_conjugate_batch(np.asarray(F, float), terms, problem.epsilon)
     objective = float(np.dot(problem.weights, values))
     return objective, gradient() * problem.weights[None, :]
 
@@ -154,11 +153,10 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     hook = step_rule if callable(step_rule) else None
     if hook is None and step_rule not in ("fixed", "backtracking"):
         raise ValueError("step_rule must be 'fixed', 'backtracking', or a callable")
-    kernels = _log_kernels(problem.cost, problem.epsilon)
+    terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
 
     def value(fmat):
-        values, gradient = semidual_conjugate_batch(
-            fmat, problem.histograms, kernels, problem.epsilon)
+        values, gradient = semidual_conjugate_batch(fmat, terms, problem.epsilon)
         return float(np.dot(lam, values)), gradient
 
     def search(direction, scale, floor):

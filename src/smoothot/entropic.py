@@ -14,8 +14,8 @@ cap lowered; the check reads the residuals the sweep computes anyway, so the
 safeguard costs no kernel apply.  A solve ends on a sweep at w = 1, so the
 plan's row marginal is a to rounding and its mass is 1.  The value comes from
 the last sweep's row marginal and the plan is a factored `Coupling.gibbs`, so
-on a grid no n^2 array exists unless the plan's matrix is asked for.  A
-zero-mass bin is a log 0 = -inf mask in the kernel input on either cost path.
+on a grid no n^2 array exists unless the plan's matrix is asked for.  Via
+`_log_weights`, a zero-mass bin is a log 0 = -inf mask in every kernel input.
 `_log_kernels`, shared with `legendre`, holds the package's one kernel switch
 on the cost's structure; either path's apply is a shifted matrix product
 with an exact `logsumexp` fallback.  On a symmetric cost,
@@ -99,9 +99,10 @@ def dense_kernel_apply(x, kernel) -> np.ndarray:
     return out
 
 
-def _log_mask(w):
-    """log of the support indicator of w: 0 where w > 0, -inf elsewhere."""
-    return np.where(w > 0, 0.0, -np.inf)
+def _log_weights(w):
+    """How w enters the log domain: log w, 0 off the support, and its 0/-inf mask."""
+    support = w > 0
+    return np.log(np.where(support, w, 1.0)), np.where(support, 0.0, -np.inf)
 
 
 def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
@@ -109,7 +110,7 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
 
     For eps > 0 it is eps*log b - eps*log K^T e^{f/eps}, one kernel apply, so
     a GridCost2D builds no entries; at eps = 0 the plain column minimum.
-    Coordinates with b_j = 0 and eps > 0 come back as -inf sentinels;
+    Coordinates with b_j = 0 and eps > 0 come back as -inf (log 0);
     callers must treat those points as inactive.  The row transform of g
     against a is ctransform_of_f(g, a, C.T, eps); a GridCost2D has no .T
     and is symmetric, so there the grid itself is passed.
@@ -123,8 +124,8 @@ def ctransform_of_f(f, b, cost, epsilon: float) -> np.ndarray:
         raise ValueError("shape mismatch between f, b and the cost")
     if epsilon == 0:
         return (as_cost(c) - fv[:, None]).min(axis=0)
-    with np.errstate(divide="ignore"):
-        return epsilon * np.log(bw) - epsilon * _log_kernels(c, epsilon)[0](fv / epsilon)
+    log_b, mask = _log_weights(bw)
+    return epsilon * (log_b + mask) - epsilon * _log_kernels(c, epsilon)[0](fv / epsilon)
 
 
 def dual_value(f, g, a, b, cost, epsilon: float) -> float:
@@ -145,8 +146,8 @@ def dual_value(f, g, a, b, cost, epsilon: float) -> float:
         raise ValueError("cost shape does not match the marginals")
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
-    log_kg = _log_kernels(c, epsilon)[1](gv / epsilon + _log_mask(bw))
-    mass = np.exp(fv / epsilon + _log_mask(aw) + log_kg).sum()
+    log_kg = _log_kernels(c, epsilon)[1](gv / epsilon + _log_weights(bw)[1])
+    mass = np.exp(fv / epsilon + _log_weights(aw)[1] + log_kg).sum()
     return float(np.dot(fv, aw) + np.dot(gv, bw) - epsilon * mass)
 
 
@@ -244,8 +245,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
 
     log_k_cols, log_k_rows = _log_kernels(c, epsilon)
     grid = isinstance(c, GridCost2D)
-    ma, mb = _log_mask(aw), _log_mask(bw)
-    la, lb = np.log(np.where(aw > 0, aw, 1.0)), np.log(np.where(bw > 0, bw, 1.0))
+    (la, ma), (lb, mb) = _log_weights(aw), _log_weights(bw)
     g = np.zeros(bw.size)
     log_kf = None if grid else log_k_cols(f / epsilon + ma)
     omega, cap, best_res = 1.0, _OMEGA_CAP, np.inf
@@ -328,16 +328,15 @@ def symmetric_potential(a, cost, epsilon: float, *,
     against a, one kernel apply per iteration (Feydy et al., AISTATS 2019).
     Stops when the plan diag(e^{f/eps}) K diag(e^{f/eps}) has l1 marginal
     residual <= tol, the test sinkhorn applies to each marginal, so
-    sinkhorn(a, a, cost, epsilon, f0=f) certifies it within a sweep.  Returns
-    None when the cost is not symmetric (a GridCost2D always is; a matrix is
-    when it equals its transpose).  Raises IterationLimitError carrying the
-    last iterate after DEFAULT_MAX_ITER applies.
+    sinkhorn(a, a, cost, epsilon, f0=f) certifies it within a sweep.  On a
+    zero bin of a, f is the finite unit-weight transform that `sinkhorn` leaves
+    there.  Returns None when the cost is not symmetric (a GridCost2D always
+    is; a matrix is when it equals its transpose).  Raises IterationLimitError
+    carrying the last iterate after DEFAULT_MAX_ITER applies.
     """
     if not epsilon > 0:
         raise ValueError("symmetric_potential requires epsilon > 0")
     aw = as_weights(a, "a")
-    if np.any(aw <= 0):
-        raise ValueError("symmetric_potential requires a strictly positive histogram")
     c = as_kernel_cost(cost)
     if c.shape != (aw.size, aw.size):
         raise ValueError("cost shape does not match the histogram")
@@ -346,14 +345,15 @@ def symmetric_potential(a, cost, epsilon: float, *,
     if apply_kt is not apply and not np.array_equal(c, c.T):
         return None
     max_iter = DEFAULT_MAX_ITER
-    la = np.log(aw)
+    la, ma = _log_weights(aw)
     f = np.zeros(aw.size)
     residual = np.inf
     for _ in range(max_iter):
-        log_kf = apply(f / epsilon)
-        residual = float(np.abs(np.exp(f / epsilon + log_kf) - aw).sum())
+        u = f / epsilon + ma
+        log_kf = apply(u)
+        residual = float(np.abs(np.exp(u + log_kf) - aw).sum())
         if residual <= tol:
-            return f
+            return np.where(aw > 0, f, -epsilon * log_kf)
         f = 0.5 * (f + epsilon * (la - log_kf))
     raise IterationLimitError(
         f"symmetric_potential did not reach tol={tol:g} in {max_iter} applies",

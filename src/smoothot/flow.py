@@ -2,7 +2,8 @@
 
 Each step minimizes W_eps(a, a_prev) + tau*J(A a), the N = 1 case of the
 regularized barycenter solver; the step size tau multiplies the regularizer
-strength (indicator regularizers are invariant under that scaling).
+strength (indicator regularizers are invariant under that scaling).  Zero
+bins of a_prev enter every log-domain step as -inf masks.
 
 The descent records reuse what the flow already knows.  The new iterate is
 the semidual gradient at the step's last potential f_N, so the Sinkhorn for
@@ -43,13 +44,12 @@ def jko_step(a_prev, cost, epsilon: float, tau_flow: float, op: LinearOperator,
     """One implicit step argmin_a W_eps(a, a_prev) + tau_flow*J(A a).
 
     tau_flow = 0 drops the energy term entirely and minimizes the transport
-    fidelity alone.  Extra keyword arguments go to solve_regularized.
+    fidelity alone.  a_prev may have zero bins; no mass is transported to
+    them.  Extra keyword arguments go to solve_regularized.
     """
     if tau_flow < 0:
         raise ValueError("tau_flow must be nonnegative")
     aw = as_weights(a_prev, "a_prev")
-    if np.any(aw <= 0):
-        raise ValueError("jko_step requires a strictly positive previous iterate")
     problem = BarycenterProblem(aw[:, None], np.ones(1), cost, epsilon)
     return solve_regularized(problem, op, _step_regularizer(reg, tau_flow), accel=accel,
                              tol=tol, max_iter=max_iter, x0=x0,

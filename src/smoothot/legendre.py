@@ -5,9 +5,10 @@ histogram (value, simplex-valued gradient, Hessian with 1/eps spectral bound).
 `joint_conjugate` treats both marginals as free and exposes the 2/eps-smooth
 joint transform.  The semidual has one implementation, `_semidual`, in two
 halves: a value from one K^T apply per column, and a gradient completed with
-one K apply, which the solvers run only at accepted points.  Its applies and
-the Hessian's plan come from `entropic._log_kernels` and `core._gibbs_plan`,
-where the cost's structure (dense or grid) is the only switch.
+one K apply, which the solvers run only at accepted points, on histogram terms
+built once per solve.  Its applies and the Hessian's plan come from
+`entropic._log_kernels` and `core._gibbs_plan`, where the cost's structure
+(dense or grid) is the only switch; `semidiscrete` shares its Hessian.
 """
 
 from __future__ import annotations
@@ -20,25 +21,41 @@ import numpy as np
 from .core import _gibbs_plan, as_cost, as_kernel_cost, logsumexp
 # not called here: perfbench/tracing.py still lists this binding as a wrap target
 from .core import grid_kernel_apply  # noqa: F401
-from .entropic import _log_kernels, _log_mask, ctransform_of_f
+from .entropic import _log_kernels, _log_weights, ctransform_of_f
 
 
-def _semidual(F, B, kernels, epsilon):
-    """Value half of the columnwise semidual transform of F (n, N) against B (m, N).
+def _semidual_terms(B, kernels):
+    """`_semidual`'s per-solve terms: kernels, B^T, 1 - <b, log b>, log b (log 0 = -inf)."""
+    bt = B.T
+    log_bt, mask = _log_weights(bt)
+    return kernels, bt, 1.0 - (bt * log_bt).sum(axis=1), log_bt + mask
+
+
+def _semidual(F, terms, epsilon):
+    """Value half of the columnwise semidual transform of F (n, N).
 
     With u = e^{f/eps}, one K^T apply per column gives the values (N,).  Returns
     them and a function that completes the gradient matrix u o K v, v = b/K^T u,
-    (n, N), from log K^T u with one K apply per column; `kernels` is
-    `_log_kernels`'s pair.  A zero bin of b is a log 0 = -inf mask in log v and
-    adds 0 log 0 = 0 to the value, as in `entropic.sinkhorn`.
+    (n, N), from log K^T u with one K apply per column; `terms` come from
+    `_semidual_terms`.  A zero bin of b is log 0 = -inf in log v and adds
+    0 log 0 = 0 to the value, as in `entropic.sinkhorn`.
     """
-    apply_kt, apply_k = kernels
+    (apply_kt, apply_k), bt, constant, log_b = terms
     X = F.T / epsilon
-    bt = B.T
-    log_bt = np.log(np.where(bt > 0, bt, 1.0))
     log_ktu = apply_kt(X)
-    values = epsilon * (-(bt * log_bt).sum(axis=1) + 1.0 + (bt * log_ktu).sum(axis=1))
-    return values, lambda: np.exp(X + apply_k(log_bt - log_ktu + _log_mask(bt))).T
+    values = epsilon * (constant + (bt * log_ktu).sum(axis=1))
+    return values, lambda: np.exp(X + apply_k(log_b - log_ktu)).T
+
+
+def _semidual_hessian(left, right, epsilon):
+    """Semidual Hessian (1/eps)(diag(A 1) - A) for the overlap A = left @ right.
+
+    Its diagonal is summed from A's off-diagonal entries, so it is PSD with
+    exactly zero row sums, and a row that overlaps nothing (an empty cell) is 0.
+    """
+    overlap = left @ right
+    np.fill_diagonal(overlap, 0.0)
+    return (np.diag(overlap.sum(axis=1)) - overlap) / epsilon
 
 
 @dataclass(frozen=True)
@@ -84,16 +101,14 @@ def semidual_conjugate(f, b, cost, epsilon: float,
     fv = np.asarray(f, dtype=float)
     bw = np.asarray(b.weights if hasattr(b, "weights") else b, dtype=float)
     values, grads = semidual_conjugate_batch(fv[:, None], bw[:, None], cost, epsilon)
-    gradient = grads[:, 0]
 
     hessian = None
     if want_hessian:
         # P = diag(u) K diag(v), eps log v is f's c-transform; P is 0 on zero bins
         plan = _gibbs_plan(fv, ctransform_of_f(fv, bw, cost, epsilon),
                            as_kernel_cost(cost), epsilon)
-        hessian = (np.diag(gradient) - plan @ (plan / np.where(bw > 0, bw, 1.0)).T) / epsilon
-        hessian = 0.5 * (hessian + hessian.T)
-    return SemidualEval(value=float(values[0]), gradient=gradient, hessian=hessian)
+        hessian = _semidual_hessian(plan, (plan / np.where(bw > 0, bw, 1.0)).T, epsilon)
+    return SemidualEval(value=float(values[0]), gradient=grads[:, 0], hessian=hessian)
 
 
 def semidual_conjugate_batch(F, B, cost, epsilon: float):
@@ -113,7 +128,7 @@ def semidual_conjugate_batch(F, B, cost, epsilon: float):
         raise ValueError("F and B must be matrices with one column per histogram")
     if (F.shape[0], B.shape[0]) != c.shape:
         raise ValueError("shape mismatch between F, B and the cost")
-    values, gradient = _semidual(F, B, _log_kernels(c, epsilon), epsilon)
+    values, gradient = _semidual(F, _semidual_terms(B, _log_kernels(c, epsilon)), epsilon)
     return values, gradient()
 
 

@@ -18,7 +18,7 @@ from .core import Histogram, IterationLimitError, _halving_search
 from .barycenter import BarycenterProblem
 from .entropic import _log_kernels
 # the value half, under the name at which perfbench's tracer counts evaluations
-from .legendre import _semidual as semidual_conjugate_batch
+from .legendre import _semidual as semidual_conjugate_batch, _semidual_terms
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
                                     problem.epsilon)
 
     n, num = problem.size, problem.num_inputs
-    kernels = _log_kernels(problem.cost, problem.epsilon)
+    terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
     lam = problem.weights
     lam_n = lam[-1]
     g_size = int(np.prod(op.out_shape))
@@ -352,8 +352,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         return np.column_stack([fhead, f_last]) if num > 1 else f_last[:, None]
 
     def value(x):
-        values, gradient = semidual_conjugate_batch(
-            potentials(x), problem.histograms, kernels, problem.epsilon)
+        values, gradient = semidual_conjugate_batch(potentials(x), terms, problem.epsilon)
         return float(np.dot(lam, values)), gradient
 
     if x0 is None:

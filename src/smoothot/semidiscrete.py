@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (IterationLimitError, SIMPLEX_ATOL, _halving_search, softmin,
                    squared_euclidean)
+from .legendre import _semidual_hessian
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,6 @@ def _dual_terms(g, cost, weights, masses, epsilon):
     return value, masses - cells, chi
 
 
-def _negative_hessian(chi, weights, epsilon):
-    """Negative Hessian (1/eps)(diag(w chi) - chi^T diag(w) chi) of the dual.
-
-    The dual is <g, b> minus the semidual transform of g with marginal w and
-    cost C^T, up to a constant, so this is the same matrix as
-    `legendre.semidual_conjugate(g, w, C.T, eps, want_hessian=True).hessian`.
-    Rows of chi sum to 1, so it is the Laplacian of the cell-overlap weights
-    A = chi^T diag(w) chi; the diagonal is summed from A's off-diagonal
-    entries, which keeps it PSD with an exactly zero row for an empty cell.
-    """
-    overlap = (chi.T * weights) @ chi
-    np.fill_diagonal(overlap, 0.0)
-    return (np.diag(overlap.sum(axis=1)) - overlap) / epsilon
-
-
 def semidiscrete_objective_grad(g, source: SampledMeasure, target: DiscreteTarget,
                                 epsilon: float):
     """Dual objective E(g) = sum_i w_i softmin_j(c(x_i,y_j) - g_j) + <g, b>.
@@ -256,7 +242,7 @@ def _newton_direction(grad, chi, weights, epsilon, step):
     """
     m = grad.size
     sq = float(grad @ grad)
-    system = _negative_hessian(chi, weights, epsilon)
+    system = _semidual_hessian(chi.T * weights, chi, epsilon)
     system[np.diag_indices(m)] += sq * np.trace(system) / m
     system += 1.0 / m
     try:

@@ -377,6 +377,25 @@ class TestRegularizedAndFlowCommands:
         weights = fileio.read_vector(out)
         assert abs(weights.sum() - 1.0) <= 1e-8 and weights.min() >= 0.0
 
+    def test_flow_accepts_a_black_pixel(self, tmp_path):
+        img = np.random.default_rng(122).uniform(0.2, 1.0, size=(4, 4))
+        img[1, 2] = 0.0
+        initial = tmp_path / "initial.pgm"
+        fileio.write_pgm(initial, img)
+        assert fileio.read_pgm(initial)[0].min() == 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1, "tol": 1e-8, "max_iter": 40000,
+                                   "lambda": 0.2, "tau": 0.1, "steps": 2}))
+        out = tmp_path / "flow.csv"
+        summary = tmp_path / "summary.json"
+        assert run(["flow", "--config", cfg, "--initial", initial, "--out-csv", out,
+                    "--summary", summary]) == 0
+        trajectory = fileio.read_matrix(out)
+        assert trajectory.shape == (2, 16)
+        assert np.abs(trajectory.sum(axis=1) - 1.0).max() <= 1e-8 and trajectory.min() >= 0.0
+        for record in json.loads(summary.read_text())["records"]:
+            assert record["objective_new"] <= record["objective_prev"] + 1e-8
+
 
 class TestSemidiscreteCommand:
     def test_symmetric_instance(self, tmp_path):

@@ -444,25 +444,36 @@ class TestSinkhorn:
             assert abs(res.value - primal_value(a, b, c, eps, res.coupling)) <= 1e-6
 
 
+def with_zero_bins(a, bins):
+    """a with the given bins set to 0, renormalized."""
+    out = a.copy()
+    out[bins] = 0.0
+    return out / out.sum()
+
+
 class TestSymmetricPotential:
     def test_warm_start_value_equals_cold_solve(self):
         rng = np.random.default_rng(15)
         gc = GridCost2D(6, 6)
         a = random_histogram(rng, 36, floor=1e-3)
         eps = 1.0 / 36
-        f = symmetric_potential(a, gc, eps)
-        warm = sinkhorn(a, a, gc, eps, f0=f)
-        cold = sinkhorn(a, a, gc, eps)
-        assert warm.iterations == 1 < cold.iterations
-        assert abs(warm.value - cold.value) <= 1e-12
+        for hist in (a, with_zero_bins(a, [0, 7, 20])):
+            f = symmetric_potential(hist, gc, eps)
+            assert np.all(np.isfinite(f))
+            warm = sinkhorn(hist, hist, gc, eps, f0=f)
+            cold = sinkhorn(hist, hist, gc, eps)
+            assert warm.iterations == 1 < cold.iterations
+            assert abs(warm.value - cold.value) <= 1e-12
 
     def test_grid_and_dense_costs_agree(self):
         rng = np.random.default_rng(16)
         gc = GridCost2D(6, 6)
         a = random_histogram(rng, 36, floor=1e-3)
-        values = [sinkhorn(a, a, c, 0.05, f0=symmetric_potential(a, c, 0.05)).value
-                  for c in (gc, gc.entries)]
-        assert abs(values[0] - values[1]) <= 1e-12
+        for hist in (a, with_zero_bins(a, [3, 35])):
+            values = [sinkhorn(hist, hist, c, 0.05,
+                               f0=symmetric_potential(hist, c, 0.05)).value
+                      for c in (gc, gc.entries)]
+            assert abs(values[0] - values[1]) <= 1e-12
 
     def test_iteration_limit_carries_best(self, monkeypatch):
         monkeypatch.setattr(entropic, "DEFAULT_MAX_ITER", 1)

@@ -79,10 +79,10 @@ class TestJKOStep:
         reg = make_regularizer("tv_aniso", lam=0.5)
         with pytest.raises(ValueError):
             jko_step(np.full(n, 1.0 / n), cost, 0.1, -0.1, op, reg)
-        zeros = np.zeros(n)
-        zeros[0] = 1.0
+        negative = np.full(n, 1.0 / n)
+        negative[:2] = [-1.0 / n, 3.0 / n]
         with pytest.raises(ValueError):
-            jko_step(zeros, cost, 0.1, 0.1, op, reg)
+            jko_step(negative, cost, 0.1, 0.1, op, reg)
 
 
 class TestRunFlow:
@@ -109,6 +109,28 @@ class TestRunFlow:
         tvs = [reg.value(op.forward(a0))]
         tvs += [reg.value(op.forward(it.weights)) for it in flow.iterates]
         assert all(tvs[k + 1] <= tvs[k] + 1e-10 for k in range(10))
+
+    def test_zero_bins_are_the_limit_of_positive_bins(self):
+        # a zero bin is the delta -> 0 limit of a + delta [a = 0], renormalized
+        n = 24
+        cost, op = chain_setup(n)
+        a0 = two_cluster_1d(n)
+        a0[[0, 1, 11, 12, 23]] = 0.0
+        a0 /= a0.sum()
+        reg = make_regularizer("tv_aniso", lam=0.5)
+        kw = dict(tol=1e-9, obj_tol=1e-12, max_iter=40000, sinkhorn_tol=1e-10)
+        flow = run_flow(a0, 2, cost, 1.0 / n, 0.1, op, reg, **kw)
+        for it, record in zip(flow.iterates, flow.records):
+            assert abs(it.weights.sum() - 1.0) <= 1e-12 and np.all(it.weights >= 0)
+            assert record["objective_new"] <= record["objective_prev"] + 1e-8
+        gaps = []
+        for delta in (1e-4, 1e-10):
+            lifted = a0 + delta * (a0 == 0)
+            near = run_flow(lifted / lifted.sum(), 2, cost, 1.0 / n, 0.1, op, reg,
+                            record_descent=False, **kw)
+            gaps.append(max(np.abs(x.weights - y.weights).sum()
+                            for x, y in zip(flow.iterates, near.iterates)))
+        assert gaps[1] <= 1e-6 < gaps[0]
 
     @pytest.mark.parametrize("case", ["grid", "chain", "asymmetric"])
     def test_records_equal_cold_sinkhorn(self, case):

@@ -7,6 +7,7 @@ from smoothot.core import GridCost2D, as_kernel_cost
 from smoothot.entropic import ctransform_of_f, sinkhorn
 from smoothot.legendre import (
     _semidual,
+    _semidual_terms,
     joint_conjugate,
     semidual_conjugate,
     semidual_conjugate_batch,
@@ -193,7 +194,7 @@ class TestSemidualBatch:
                 full_applies = len(applies)
                 kernels = entropic._log_kernels(as_kernel_cost(c), 0.3)
                 applies.clear()
-                values, _ = _semidual(F, B, kernels, 0.3)
+                values, _ = _semidual(F, _semidual_terms(B, kernels), 0.3)
                 assert np.array_equal(values, full)
                 # K^T u per column for the value, no K apply
                 assert (full_applies, len(applies)) == (2 * num, num)
@@ -209,7 +210,7 @@ class TestSemidualBatch:
                 lam = random_histogram(rng, num)
                 kernels = entropic._log_kernels(as_kernel_cost(c), 0.3)
                 applies.clear()
-                values, gradient = _semidual(F, B, kernels, 0.3)
+                values, gradient = _semidual(F, _semidual_terms(B, kernels), 0.3)
                 value_applies = len(applies)
                 grads = gradient()
                 assert (value_applies, len(applies) - value_applies) == (num, num)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from smoothot.core import IterationLimitError
-from smoothot.legendre import semidual_conjugate
+from smoothot.legendre import _semidual_hessian, semidual_conjugate
 from smoothot.semidiscrete import (
     DiscreteTarget,
     SampledMeasure,
     _dual_terms,
-    _negative_hessian,
     gbar_transform,
     laguerre_assign,
     semidiscrete_objective_grad,
@@ -177,7 +176,7 @@ class TestNewtonHessian:
             g = rng.normal(size=m)
             cost = tgt.cost_to(src.points)
             _, _, chi = _dual_terms(g, cost, src.weights, tgt.masses, eps)
-            hessian = -_negative_hessian(chi, src.weights, eps)
+            hessian = -_semidual_hessian(chi.T * src.weights, chi, eps)
             semidual = semidual_conjugate(g, src.weights, cost.T, eps, want_hessian=True)
             assert np.abs(hessian - (-semidual.hessian)).max() <= 1e-10
 
@@ -188,7 +187,7 @@ class TestNewtonHessian:
             g = rng.normal(size=5)
             _, _, chi = _dual_terms(g, tgt.cost_to(src.points), src.weights,
                                     tgt.masses, eps)
-            hessian = -_negative_hessian(chi, src.weights, eps)
+            hessian = -_semidual_hessian(chi.T * src.weights, chi, eps)
             h = 1e-6
             num = np.column_stack([
                 (semidiscrete_objective_grad(g + h * e, src, tgt, eps)[1]
