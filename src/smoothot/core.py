@@ -2,7 +2,9 @@
 
 Two log-domain kernels live here: `logsumexp`, the dense reduction, and
 `grid_kernel_apply`, a separable grid cost's Gibbs kernel as shifted GEMMs
-with the exact fallback below `_UNDERFLOW` that the dense apply shares.
+on one image or a stack of them, with the exact fallback below `_UNDERFLOW`
+that the dense apply shares; one minimum over the sums decides whether the
+fallback runs at all.
 
 Everything here is a pure function of its inputs; the wrapper types freeze
 their arrays after validation, so values can be shared freely across threads.
@@ -265,37 +267,66 @@ def grid_kernel_apply(logvals, cost: GridCost2D, epsilon: float) -> np.ndarray:
     """Log-domain Gibbs-kernel application on a grid, as two shifted GEMMs.
 
     Computes logsumexp_{r,c}(logvals[r,c] - C[(r,c),(r',c')]/epsilon) for all
-    output pixels, returned as an (h, w) array; an exact rewriting of the dense
-    pass for the separable squared-Euclidean grid cost (the kernel is
-    symmetric on the grid).  Each 1-D pass shifts every column of the image
-    by its own maximum m (no shift for an all -inf column) and takes
-    S = exp(-C_axis/epsilon).T @ exp(x - m) (factors kept on the cost), so
-    out = log S + m.  An output whose shifted sum S falls below 1e-250
-    (factors of the kernel underflowed, or the column is empty) is recomputed
-    exactly with `logsumexp` over its own column; every product lost to
-    underflow is below 2.2e-308, so at h, w <= 10**3 the sums that pass the
-    bound drop under 1 ulp.  -inf entries (log 0 bins) are allowed: an empty
-    sum gives -inf, without warnings.
+    output pixels: an exact rewriting of the dense pass for the separable
+    squared-Euclidean grid cost (the kernel is symmetric on the grid).
+    `logvals` is a stack of N images, (N, h*w), returned as (N, h, w), or one
+    image, h*w log values or an (h > 1, w) array, returned as (h, w); an input
+    of any other size raises ValueError.  The N images share each 1-D
+    pass as one (h, N*w) or (w, N*h) GEMM, which keeps each image's result
+    bit for bit that of its own apply on grids at least two pixels wide each
+    way (on a one-pixel-wide grid a single image's pass is a matrix-vector
+    product, which BLAS rounds its own way).
+    As in `entropic.dense_kernel_apply`, a pass shifts every column by its
+    maximum m, at least -1e308, and takes S = exp(-C_axis/epsilon).T @ exp(x - m)
+    (the transposed factor is kept on the cost), so out = log S + m.  One
+    minimum over S tells whether any sum fell below 1e-250 (factors of the
+    kernel underflowed, or the column is empty); only then are those outputs
+    recomputed exactly with `logsumexp` over their own columns.  Every product
+    lost to underflow is below 2.2e-308, so at h, w <= 10**3 the sums that
+    pass the bound drop under 1 ulp.  -inf entries (log 0 bins) are allowed:
+    an empty sum gives -inf, without warnings.
     """
     h, w = cost.grid_shape
-    x = np.asarray(logvals, dtype=float).reshape(h, w)
-    cached = cost.__dict__.get("_factors", (None,))
-    if cached[0] != epsilon:  # one slot: the factors at the last epsilon
+    x = np.asarray(logvals, dtype=float)
+    image = x.ndim < 2 or x.shape[-1] != h * w
+    num = 1 if image else len(x)
+    stack = x.reshape(num, h, w)
+    factors = cost.__dict__.get("_factors", (None,))
+    if factors[0] != epsilon:  # one slot: the factors at the last epsilon
         kerns = [-sq / epsilon for sq in (cost.row_sq, cost.col_sq)]
-        cached = (epsilon, [(kern, np.exp(kern)) for kern in kerns])
-        object.__setattr__(cost, "_factors", cached)
-    for kern, exp_kern in cached[1]:
-        m = x.max(axis=0)
-        m[~np.isfinite(m)] = 0.0  # an infinite maximum is no shift
-        s = exp_kern.T @ np.exp(x - m)
+        factors = (epsilon, [(kern, np.exp(kern).T) for kern in kerns])
+        object.__setattr__(cost, "_factors", factors)
+    (row_kern, row_exp_t), (col_kern, col_exp_t) = factors[1]
+    # columns k*w ... k*w + w - 1 hold image k; views when num == 1
+    first = _kernel_pass(stack.transpose(1, 0, 2).reshape(h, num * w),
+                         row_kern, row_exp_t, w)
+    # the second pass runs over each image's transpose
+    second = _kernel_pass(first.reshape(h, num, w).transpose(2, 1, 0).reshape(w, num * h),
+                          col_kern, col_exp_t, h)
+    out = second.reshape(w, num, h).transpose(1, 2, 0)
+    return out[0] if image else out
+
+
+def _kernel_pass(x, kern, exp_kern_t, width):
+    """One shifted pass of `grid_kernel_apply` over x (rows, N*width)."""
+    m = x.max(axis=0, initial=-1e308)
+    s = np.subtract(x, m)
+    s = exp_kern_t @ np.exp(s, out=s)
+    fallback = s.min() < _UNDERFLOW
+    if fallback:
         low = s < _UNDERFLOW
         s[low] = 1.0  # placeholder for the exact fallback below
-        out = np.log(s) + m
+    out = np.log(s, out=s)
+    out += m
+    if fallback:
         j, c = np.nonzero(low)
-        if j.size:
-            out[j, c] = logsumexp(x[:, c] + kern[:, j], axis=0)
-        x = out.T
-    return x
+        # numpy sums a lone column in another order than several, so each
+        # image's low outputs take one logsumexp of their own, as in its apply
+        image = c // width
+        for k in np.unique(image):
+            mine = image == k
+            out[j[mine], c[mine]] = logsumexp(x[:, c[mine]] + kern[:, j[mine]], axis=0)
+    return out
 
 
 class Coupling:

@@ -17,8 +17,9 @@ the last sweep's row marginal and the plan is a factored `Coupling.gibbs`, so
 on a grid no n^2 array exists unless the plan's matrix is asked for.  Via
 `_log_weights`, a zero-mass bin is a log 0 = -inf mask in every kernel input.
 `_log_kernels`, shared with `legendre`, holds the package's one kernel switch
-on the cost's structure; either path's apply is a shifted matrix product
-with an exact `logsumexp` fallback.  On a symmetric cost,
+on the cost's structure; either path applies a whole stack in one call, as
+a shifted matrix product with an exact `logsumexp` fallback that runs only
+when one minimum over the sums finds one below 1e-250.  On a symmetric cost,
 `symmetric_potential` finds the self-transport potential of W_eps(a, a) by
 an averaged fixed point, as a warm start for `sinkhorn`.
 """
@@ -59,15 +60,13 @@ def _log_kernels(cost, epsilon):
     """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), x a vector or (N, n) stack.
 
     The package's one switch on the cost's structure: a GridCost2D runs this
-    module's `grid_kernel_apply` once per vector (its kernel is symmetric, so
+    module's `grid_kernel_apply` once per stack (its kernel is symmetric, so
     both directions are one function), a dense cost, given as its validated
     entries, `dense_kernel_apply` on kernels built here, once per solve.
     """
     if isinstance(cost, GridCost2D):
         def apply(x):
-            if x.ndim == 1:
-                return grid_kernel_apply(x, cost, epsilon).ravel()
-            return np.array([grid_kernel_apply(r, cost, epsilon).ravel() for r in x])
+            return grid_kernel_apply(x, cost, epsilon).reshape(x.shape)
         return apply, apply
     def dense(lc):
         shift = lc.max(axis=0)
@@ -82,19 +81,22 @@ def dense_kernel_apply(x, kernel) -> np.ndarray:
     s is lc's column maxima; each vector (entries finite or -inf) is shifted by
     its maximum m, at least -1e308, and multiplied as a C-contiguous (N, 1, n)
     stack, each row bit for bit a single vector's product: out = log S + m + s.
-    As in `grid_kernel_apply`, an S below 1e-250 is recomputed exactly with
+    As in `grid_kernel_apply`, one minimum over S tells whether any S fell
+    below 1e-250, and only then are those outputs recomputed exactly with
     `logsumexp`; an empty sum gives -inf, without warnings.
     """
     kern, shift, lc = kernel
     m = x.max(axis=-1, keepdims=True, initial=-1e308)
     e = np.subtract(x, m, order="C")
     s = (np.exp(e, out=e)[..., None, :] @ kern)[..., 0, :]
-    low = s < _UNDERFLOW
-    s[low] = 1.0  # placeholder for the exact fallback below
+    fallback = s.min() < _UNDERFLOW
+    if fallback:
+        low = s < _UNDERFLOW
+        s[low] = 1.0  # placeholder for the exact fallback below
     out = np.log(s, out=s)
     out += m + shift
-    k = np.nonzero(low)
-    if k[0].size:  # k[:-1] indexes each low output's vector, k[-1] its column
+    if fallback:  # k[:-1] indexes each low output's vector, k[-1] its column
+        k = np.nonzero(low)
         out[k] = logsumexp(x[k[:-1]] + lc.T[k[-1]], axis=-1)
     return out
 

@@ -40,25 +40,32 @@ def grid_gradient(shape) -> LinearOperator:
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise ValueError("grid dimensions must be positive")
+    # (dx, dy) rows interleaved: pixel (i, j)'s dx at 2(i*w + j), its dy next;
+    # the dx past the last column are 0, as are the dy past the last row
+    last_dx = slice(2 * w - 2, None, 2 * w)
 
     def forward(a):
-        img = np.asarray(a, dtype=float).reshape(h, w)
-        dx = np.zeros((h, w))
-        dy = np.zeros((h, w))
-        dx[:, :-1] = img[:, 1:] - img[:, :-1]
-        dy[:-1, :] = img[1:, :] - img[:-1, :]
-        return np.column_stack([dx.ravel(), dy.ravel()])
+        img = np.asarray(a, dtype=float).reshape(h * w)
+        out = np.zeros(2 * h * w)
+        np.subtract(img[1:], img[:-1], out=out[0:-2:2])
+        out[last_dx] = 0.0  # the differences that wrapped to the next row
+        np.subtract(img[w:], img[:-w], out=out[1:2 * (h - 1) * w:2])
+        return out.reshape(h * w, 2)
 
     def adjoint(z):
-        zz = np.asarray(z, dtype=float).reshape(h * w, 2)
-        dx = zz[:, 0].reshape(h, w)
-        dy = zz[:, 1].reshape(h, w)
-        out = np.zeros((h, w))
-        out[:, :-1] -= dx[:, :-1]
-        out[:, 1:] += dx[:, :-1]
-        out[:-1, :] -= dy[:-1, :]
-        out[1:, :] += dy[:-1, :]
-        return out.ravel()
+        # Pixel (i, j) becomes ((0 - dx[i, j]) + dx[i, j-1]) - dy[i, j] + dy[i-1, j],
+        # its terms past an edge left out, each update over the flattened
+        # image at once.  The dx past the last column are zeroed first: a
+        # partial sum here is never -0, so adding or subtracting one changes
+        # no bit.
+        zz = np.array(z, dtype=float).reshape(2 * h * w)
+        zz[last_dx] = 0.0
+        dx, dy = zz[0::2], zz[1::2]
+        out = np.subtract(0.0, dx)
+        out[1:] += dx[:-1]
+        out[:-w] -= dy[:-w]
+        out[w:] += dy[:-w]
+        return out
 
     return LinearOperator(
         forward=forward,
@@ -139,7 +146,7 @@ def prox_tv_conjugate(g, tau: float, lam: float, beta: int) -> np.ndarray:
         return np.clip(z, -lam, lam)
     if beta == 2:
         sites = z if z.ndim == 2 else z.reshape(-1, 1)
-        norms = np.sqrt((sites * sites).sum(axis=1))
+        norms = np.sqrt(_squared_norms(sites))
         scale = lam / np.maximum(norms, lam) if lam > 0 else np.zeros_like(norms)
         out = sites * scale[:, None]
         return out if z.ndim == 2 else out.ravel()
@@ -167,12 +174,19 @@ class Regularizer:
         return make_regularizer(self.kind, **params)
 
 
+def _squared_norms(sites):
+    """Squared norm of each row of sites (k, d); (dx, dy) rows take one add,
+    the same sum `.sum(axis=1)` computes, without k two-entry reductions."""
+    sq = sites * sites
+    return sq[:, 0] + sq[:, 1] if sq.shape[1] == 2 else sq.sum(axis=1)
+
+
 def _site_norms(z, beta):
     arr = np.asarray(z, dtype=float)
     if beta == 1:
         return np.abs(arr).sum()
     sites = arr if arr.ndim == 2 else arr.reshape(-1, 1)
-    return np.sqrt((sites * sites).sum(axis=1)).sum()
+    return np.sqrt(_squared_norms(sites)).sum()
 
 
 def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
@@ -195,7 +209,7 @@ def make_regularizer(kind: str, *, lam: float = None, rho: float = None,
                 inside = np.abs(z).max(initial=0.0) <= _lam + _tol
             else:
                 sites = z if z.ndim == 2 else z.reshape(-1, 1)
-                inside = (sites * sites).sum(axis=1).max(initial=0.0) <= (_lam + _tol) ** 2
+                inside = _squared_norms(sites).max(initial=0.0) <= (_lam + _tol) ** 2
             return 0.0 if inside else float("inf")
 
         return Regularizer(
@@ -333,23 +347,22 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     n, num = problem.size, problem.num_inputs
     terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
     lam = problem.weights
-    lam_n = lam[-1]
+    neg_lam_n = -lam[-1]
     g_size = int(np.prod(op.out_shape))
     head_size = n * (num - 1)
 
-    def unpack(x):
-        return x[:head_size].reshape(n, num - 1), x[head_size:].reshape(op.out_shape)
-
-    def reconstruct_last(fhead, g):
-        pulled = op.adjoint(g)
-        if num > 1:
-            pulled = pulled + fhead @ lam[:-1]
-        return -pulled / lam_n
+    # iterates stay flat: x[:head_size] is F_head (n, N - 1), x[head_size:] is g
+    def g_part(x):
+        return x[head_size:].reshape(op.out_shape)
 
     def potentials(x):
-        fhead, g = unpack(x)
-        f_last = reconstruct_last(fhead, g)
-        return np.column_stack([fhead, f_last]) if num > 1 else f_last[:, None]
+        # F = (F_head, f_N) with f_N = -(A* g + F_head lambda_head)/lambda_N;
+        # dividing by -lambda_N is negating and dividing by lambda_N, bit for bit
+        pulled = op.adjoint(g_part(x))
+        if num == 1:
+            return (pulled / neg_lam_n)[:, None]
+        fhead = x[:head_size].reshape(n, num - 1)
+        return np.column_stack([fhead, (pulled + fhead @ lam[:-1]) / neg_lam_n])
 
     def value(x):
         values, gradient = semidual_conjugate_batch(potentials(x), terms, problem.epsilon)
@@ -365,9 +378,9 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     step = 1.0 / lip if lip > 0 else problem.epsilon
 
     def prox(xv, tau_step):
-        fhead, g = unpack(xv)
-        g_new = reg.prox_conjugate(g, tau_step)
-        return np.concatenate([fhead.ravel(), np.asarray(g_new, float).ravel()])
+        # xv is the search's fresh trial: the prox replaces its g part in place
+        xv[head_size:] = np.ravel(reg.prox_conjugate(g_part(xv), tau_step))
+        return xv
 
     objectives = []
     converged = False
@@ -389,9 +402,11 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         # quadratic upper model holds (descent certified) or t <= 1e-3 * step
         deltas = gradient()
         delta_last = deltas[:, -1]
-        grad_head = lam[:-1][None, :] * (deltas[:, :-1] - delta_last[:, None])
-        grad_g = -op.forward(delta_last)
-        grad = np.concatenate([grad_head.ravel(), grad_g.ravel()])
+        grad = np.empty(head_size + g_size)
+        if num > 1:
+            np.multiply(lam[:-1], deltas[:, :-1] - delta_last[:, None],
+                        out=grad[:head_size].reshape(n, num - 1))
+        np.negative(op.forward(delta_last).ravel(), out=grad[head_size:])
 
         def model(t, cand):
             if t <= 1e-3 * step:
@@ -401,7 +416,7 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
             return bound + 1e-15 * (1.0 + abs(bound))
 
         accepted, used = _halving_search(point, grad, trial_step, 0.0, prox, value, model)
-        return accepted, accepted[1] + reg.conjugate(unpack(accepted[0])[1]), used
+        return accepted, accepted[1] + reg.conjugate(g_part(accepted[0])), used
 
     grow = 1.3 if backtrack else 1.0
     trial_step = step
@@ -417,20 +432,24 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if accel else 1.0
         momentum = (t_mom - 1.0) / t_next
         x_new = new[0]
-        y = x_new + momentum * (x_new - x)
-        residual = float(np.abs(x_new - x).max()) / used
+        moved = x_new - x
+        residual = float(np.abs(moved).max()) / used
         trial_step = min(used * grow, 1e4 * step)
         x, current, t_mom, obj_prev = x_new, new, t_next, obj_new
         if residual <= tol or stagnated(obj_new):
             converged = True
             break
-        # without momentum y is x_new, whose accepted trial holds its value
-        ahead = (y, *value(y)) if momentum else current
+        if momentum:
+            y = x_new + momentum * moved
+            ahead = (y, *value(y))
+        else:  # y is x_new, whose accepted trial holds its value
+            ahead = current
 
     delta_last = current[2]()[:, -1]
     result = RegularizedResult(
         barycenter=Histogram(delta_last, normalize=True),
-        state=unpack(x), f_last=reconstruct_last(*unpack(x)), objectives=objectives,
+        state=(x[:head_size].reshape(n, num - 1), g_part(x)), f_last=potentials(x)[:, -1],
+        objectives=objectives,
         iterations=len(objectives), converged=converged, step=step,
     )
     if not converged:

@@ -347,12 +347,24 @@ class TestGridKernelFactors:
             x[rng.choice(x.size, size=x.size // 10, replace=False)] = -np.inf
             x.reshape(side, side)[0] = -np.inf
             x.reshape(side, side)[:, 3] = -np.inf
+        # the stacks of the inputs, N = 2 and 3, each image's result that of
+        # its own apply
+        stacks = [np.stack(inputs), np.stack(inputs[::-1] + inputs[:1])]
         # the second call at each epsilon reads the cached factors; the third
         # epsilon's call replaces the slot
         for epsilon in (1 / 576, 1 / 576, 0.002, 0.002, 1 / 576):
-            for x in inputs:
+            for x in inputs + stacks:
                 got = grid_kernel_apply(x, cost, epsilon)
-                assert np.array_equal(got, uncached_grid_kernel_apply(x, cost, epsilon))
+                assert got.shape == x.shape[:-1] + (side, side)
+                for image, logvals in zip(got.reshape(-1, side, side), x.reshape(-1, x.shape[-1])):
+                    assert np.array_equal(image,
+                                          uncached_grid_kernel_apply(logvals, cost, epsilon))
+        # one image may also come as (h, w); a vector of two images' values
+        # is rejected, not read as a stack
+        assert np.array_equal(grid_kernel_apply(inputs[0].reshape(side, side), cost, epsilon),
+                              grid_kernel_apply(inputs[0], cost, epsilon))
+        with pytest.raises(ValueError):
+            grid_kernel_apply(stacks[0].ravel(), cost, epsilon)
         assert "entries" not in vars(cost)
 
 

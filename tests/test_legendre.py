@@ -166,14 +166,14 @@ class TestSemidualBatch:
 
     @pytest.fixture
     def applies(self, monkeypatch):
-        # kernel applies, one per column: a grid applies column by column, a
-        # dense cost a whole (N, n) stack at once
+        # kernel applies, one per column: either cost applies a whole (N, n)
+        # stack at once, so each call counts its vectors
         counted = []
         grid_apply, dense_apply = entropic.grid_kernel_apply, entropic.dense_kernel_apply
 
-        def grid(*args, **kwargs):
-            counted.append(1)
-            return grid_apply(*args, **kwargs)
+        def grid(x, *args, **kwargs):
+            counted.extend([1] * (x.shape[0] if x.ndim == 2 else 1))
+            return grid_apply(x, *args, **kwargs)
 
         def dense(x, kernel):
             counted.extend([1] * (x.shape[0] if x.ndim == 2 else 1))
