@@ -27,7 +27,7 @@ from .core import (
     grid_points_1d,
     rescale_median,
 )
-from .entropic import dual_value, primal_value, sinkhorn
+from .entropic import DEFAULT_MAX_ITER, DEFAULT_TOL, dual_value, primal_value, sinkhorn
 from .flow import run_flow
 from .lp_oracle import exact_ot
 from .regularized import (
@@ -161,19 +161,13 @@ def _build_cost(cfg, n: int, shape, path_hint: str):
     return rescale_median(cost) if cfg.get("rescale_median", False) else cost
 
 
-def _json_out(payload: dict, path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None:
-        print(text)
-    else:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-
-
 def _run(args, solve, write, summarize, best=lambda exc: exc.best) -> int:
     """Time solve(), write its outputs and the summary, and return the exit code.
 
-    The summary is `summarize(result)` plus `converged` and `wall_time`.  On
-    IterationLimitError: report it, exit 3, and write from `best(exc)` instead.
+    The summary is `summarize(result)` plus `converged` and `wall_time`; it
+    goes to the file `args.summary`, to stdout if that is "-", and nowhere if
+    it is None.  On IterationLimitError: report it, exit 3, and write from
+    `best(exc)` instead.
     """
     start = time.perf_counter()
     try:
@@ -184,8 +178,12 @@ def _run(args, solve, write, summarize, best=lambda exc: exc.best) -> int:
     wall = time.perf_counter() - start
     write(result)
     if args.summary:
-        _json_out({**summarize(result), "converged": code == EXIT_OK,
-                   "wall_time": wall}, args.summary)
+        text = json.dumps({**summarize(result), "converged": code == EXIT_OK,
+                           "wall_time": wall}, indent=2, sort_keys=True)
+        if args.summary == "-":
+            print(text)
+        else:
+            Path(args.summary).write_text(text + "\n", encoding="utf-8")
     return code
 
 
@@ -208,51 +206,39 @@ def cmd_distance(args) -> int:
     # the solvers reject a cost whose shape does not match the histograms
     cost = _build_cost({"cost": spec, "rescale_median": args.rescale_median},
                        a.size, None, "distance")
+    eps = args.epsilon
 
-    start = time.perf_counter()
-    try:
-        if args.epsilon == 0:
-            res = exact_ot(a, b, cost)
-        else:
-            res = sinkhorn(a, b, cost, args.epsilon, tol=args.tol, max_iter=args.max_iter)
-    except IterationLimitError as exc:
-        wall = time.perf_counter() - start
-        # no plan is written: an unconverged plan may miss the marginals
-        print(f"distance: {exc}", file=sys.stderr)
-        f, g = exc.best
-        _json_out({"converged": False,
-                   "dual_value": dual_value(f, g, a, b, cost, args.epsilon),
-                   "iterations": exc.iterations, "residual": exc.residual,
-                   "epsilon": args.epsilon, "wall_time": wall}, args.out)
-        return EXIT_NO_CONVERGENCE
-    wall = time.perf_counter() - start
-    if args.epsilon == 0:
-        plan = res.coupling
-        payload = {
-            "value": res.value,
-            "dual_value": float(res.row_duals @ a + res.col_duals @ b),
-            "marginal_residuals": [
-                float(np.abs(plan.sum(axis=1) - a).sum()),
-                float(np.abs(plan.sum(axis=0) - b).sum()),
-            ],
-            "iterations": res.pivots,
-            "restarts": 0,
-            "epsilon": 0.0,
-        }
-    else:
-        plan = res.coupling.matrix
-        payload = {
-            "value": primal_value(a, b, cost, args.epsilon, res.coupling),
-            "dual_value": res.value,
-            "marginal_residuals": [res.row_residual, res.col_residual],
-            "iterations": res.iterations,
-            "restarts": res.restarts,
-            "epsilon": args.epsilon,
-        }
-    if args.dump_coupling:
-        fileio.write_matrix(args.dump_coupling, plan)
-    _json_out({**payload, "converged": True, "wall_time": wall}, args.out)
-    return EXIT_OK
+    def solve():
+        if eps == 0:
+            return exact_ot(a, b, cost)
+        return sinkhorn(a, b, cost, eps, **_solver_kw(vars(args), "tol", "max_iter"))
+
+    def write(out):
+        # no plan on exit 3: an unconverged plan may miss the marginals
+        if args.dump_coupling and not isinstance(out, IterationLimitError):
+            fileio.write_matrix(args.dump_coupling,
+                                out.coupling if eps == 0 else out.coupling.matrix)
+
+    def summarize(out):
+        if isinstance(out, IterationLimitError):
+            f, g = out.best
+            return {"dual_value": dual_value(f, g, a, b, cost, eps),
+                    "iterations": out.iterations, "residual": out.residual,
+                    "epsilon": eps}
+        if eps == 0:
+            plan = out.coupling
+            return {"value": out.value,
+                    "dual_value": float(out.row_duals @ a + out.col_duals @ b),
+                    "marginal_residuals": [float(np.abs(plan.sum(axis=1) - a).sum()),
+                                           float(np.abs(plan.sum(axis=0) - b).sum())],
+                    "iterations": out.pivots, "restarts": 0, "epsilon": 0.0}
+        return {"value": primal_value(a, b, cost, eps, out.coupling),
+                "dual_value": out.value,
+                "marginal_residuals": [out.row_residual, out.col_residual],
+                "iterations": out.iterations, "restarts": out.restarts,
+                "epsilon": eps}
+
+    return _run(args, solve, write, summarize, best=lambda exc: exc)
 
 
 def _load_barycenter_problem(args, cfg):
@@ -431,14 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="squared-Euclidean cost on a uniform 1-D grid")
     p.add_argument("--epsilon", type=float, required=True,
                    help="regularization strength (0 routes to the exact LP)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    # --tol and --max-iter reach sinkhorn only when given
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                   help=f"l1 marginal tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS,
+                   help=f"sweep budget (default {DEFAULT_MAX_ITER})")
     p.add_argument("--rescale-median", action="store_true",
                    help="divide the cost by its median before solving")
     p.add_argument("--normalize", action="store_true",
                    help="normalize histograms on load instead of erroring")
     p.add_argument("--dump-coupling", metavar="FILE", help="write the plan as CSV")
-    p.add_argument("--out", metavar="FILE", help="write the JSON summary here")
+    p.add_argument("--out", dest="summary", default="-", metavar="FILE",
+                   help="write the JSON summary here (default: stdout)")
     p.set_defaults(func=cmd_distance)
 
     # arguments shared by the config commands, declared once

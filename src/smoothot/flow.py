@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import IterationLimitError, as_weights
 from .barycenter import BarycenterProblem
-from .entropic import sinkhorn, symmetric_potential
+from .entropic import DEFAULT_TOL, sinkhorn, symmetric_potential
 from .regularized import (
     LinearOperator,
     Regularizer,
@@ -38,22 +38,19 @@ def _step_regularizer(reg: Regularizer, tau_flow: float) -> Regularizer:
 
 
 def jko_step(a_prev, cost, epsilon: float, tau_flow: float, op: LinearOperator,
-             reg: Regularizer, *, tol: float = 1e-7, max_iter: int = 20_000,
-             accel: bool = True, x0=None, full_output: bool = False,
-             **solver_kw):
+             reg: Regularizer, **solver_kw):
     """One implicit step argmin_a W_eps(a, a_prev) + tau_flow*J(A a).
 
     tau_flow = 0 drops the energy term entirely and minimizes the transport
     fidelity alone.  a_prev may have zero bins; no mass is transported to
-    them.  Extra keyword arguments go to solve_regularized.
+    them.  Keyword arguments (tol, max_iter, accel, x0, full_output, ...) go
+    to solve_regularized, whose defaults fill the rest: FISTA by default.
     """
     if tau_flow < 0:
         raise ValueError("tau_flow must be nonnegative")
     aw = as_weights(a_prev, "a_prev")
     problem = BarycenterProblem(aw[:, None], np.ones(1), cost, epsilon)
-    return solve_regularized(problem, op, _step_regularizer(reg, tau_flow), accel=accel,
-                             tol=tol, max_iter=max_iter, x0=x0,
-                             full_output=full_output, **solver_kw)
+    return solve_regularized(problem, op, _step_regularizer(reg, tau_flow), **solver_kw)
 
 
 @dataclass
@@ -63,13 +60,11 @@ class FlowResult:
 
 
 def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
-             op: LinearOperator, reg: Regularizer, *, tol: float = 1e-7,
-             max_iter: int = 20_000, accel: bool = True,
-             record_descent: bool = True, sinkhorn_tol: float = 1e-9,
-             **solver_kw) -> FlowResult:
+             op: LinearOperator, reg: Regularizer, *,
+             sinkhorn_tol: float = DEFAULT_TOL, **solver_kw) -> FlowResult:
     """Iterate jko_step from a0, warm-starting each step's dual variables.
 
-    When record_descent is set, each record stores the JKO objective
+    Each step's record stores the JKO objective
     W_eps(a, a_prev) + tau_flow*J(A a) at both the new iterate and at the
     previous one, so the per-step argmin descent inequality can be checked,
     and the sweeps of the two Sinkhorn solves behind them.  The Sinkhorn for
@@ -77,7 +72,9 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     gradient is the new iterate; the one for the previous iterate starts from
     its symmetric fixed point on a symmetric cost (every GridCost2D, or a
     matrix equal to its transpose) and cold otherwise.  Both stop on
-    Sinkhorn's l1 marginal test with tol=sinkhorn_tol.
+    Sinkhorn's l1 marginal test with tol=sinkhorn_tol.  The other keyword
+    arguments (tol, max_iter, accel, ...) go to every step's
+    solve_regularized, whose defaults fill the rest.
 
     A step that hits max_iter re-raises its IterationLimitError with `best`
     set to the FlowResult so far: the completed steps and their records, then
@@ -92,24 +89,21 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     state = None
     for _ in range(steps):
         try:
-            result = jko_step(current, cost, epsilon, tau_flow, op, reg,
-                              tol=tol, max_iter=max_iter, accel=accel, x0=state,
+            result = jko_step(current, cost, epsilon, tau_flow, op, reg, x0=state,
                               full_output=True, **solver_kw)
         except IterationLimitError as exc:
             exc.best = FlowResult(iterates=iterates + [exc.best.barycenter], records=records)
             raise
         nxt = result.barycenter.weights
-        if record_descent:
-            new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol,
-                           f0=result.f_last)
-            f_self = symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
-            prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
-            records.append({
-                "objective_new": new.value + energy(op.forward(nxt)),
-                "objective_prev": prev.value + energy(op.forward(current)),
-                "solver_iterations": result.iterations,
-                "record_sweeps": [new.iterations, prev.iterations],
-            })
+        new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol, f0=result.f_last)
+        f_self = symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
+        prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
+        records.append({
+            "objective_new": new.value + energy(op.forward(nxt)),
+            "objective_prev": prev.value + energy(op.forward(current)),
+            "solver_iterations": result.iterations,
+            "record_sweeps": [new.iterations, prev.iterations],
+        })
         iterates.append(result.barycenter)
         state = result.state
         current = nxt

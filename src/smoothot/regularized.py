@@ -307,7 +307,7 @@ def _lipschitz_bound(problem, op) -> float:
 
 
 def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
-                      reg: Regularizer, *, accel: bool = False,
+                      reg: Regularizer, *, accel: bool = True,
                       tol: float = 1e-7, max_iter: int = 20_000,
                       backtrack: bool = True, x0=None,
                       obj_tol: Optional[float] = 1e-11, obj_window: int = 100,
@@ -321,13 +321,14 @@ def solve_regularized(problem: BarycenterProblem, op: LinearOperator,
     term and the operator norm bound; with backtrack=True (default) the step
     adapts to the local curvature: it grows between iterations and shrinks
     until the standard quadratic upper model holds, which certifies descent
-    of the full objective at every accepted step.  accel=True runs FISTA
-    with restart on objective increase; accel=False is the same loop with
-    the momentum parameter fixed at 1, plain FB.  Requires lambda_N != 0: if
-    the last weight vanishes the inputs are permuted internally to move a
-    nonzero weight last (the barycenter is permutation invariant).  Zero
-    bins in the inputs are allowed.  A trial costs one K^T apply per input,
-    and a step completes its start's gradient with one K apply per input.
+    of the full objective at every accepted step.  accel=True (default) runs
+    FISTA with restart on objective increase; accel=False is the same loop
+    with the momentum parameter fixed at 1, plain FB.  Requires
+    lambda_N != 0: if the last weight vanishes the inputs are permuted
+    internally to move a nonzero weight last (the barycenter is permutation
+    invariant).  Zero bins in the inputs are allowed.  A trial costs one K^T
+    apply per input, and a step completes its start's gradient with one K
+    apply per input.
 
     Convergence is declared when the proximal-gradient residual
     max|x+ - x|/step drops below tol, or when the best dual objective has

@@ -206,6 +206,41 @@ class TestDistanceCommand:
         assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0
         assert (tmp_path / "p.csv").exists()
 
+    def test_summary_goes_to_stdout_without_out(self, tmp_path, capsys):
+        rng = np.random.default_rng(114)
+        c = tmp_path / "c.csv"
+        fileio.write_matrix(c, rng.uniform(size=(6, 6)))
+        argv = ["distance", "--a", write_vec(tmp_path / "a.txt", rng.dirichlet(np.ones(6))),
+                "--b", write_vec(tmp_path / "b.txt", rng.dirichlet(np.ones(6))),
+                "--cost", c]
+        solved = {"value", "dual_value", "marginal_residuals", "iterations", "restarts",
+                  "epsilon", "converged", "wall_time"}
+        unsolved = {"dual_value", "iterations", "residual", "epsilon", "converged",
+                    "wall_time"}
+        for extra, code, keys in (
+            (["--epsilon", "0"], cli.EXIT_OK, solved),
+            (["--epsilon", "0.01"], cli.EXIT_OK, solved),
+            (["--epsilon", "0.01", "--tol", "1e-14", "--max-iter", "3"],
+             cli.EXIT_NO_CONVERGENCE, unsolved),
+        ):
+            assert run(argv + extra) == code
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload) == keys
+            assert payload["converged"] is (code == cli.EXIT_OK)
+            assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0
+
+    def test_omitted_tol_and_max_iter_take_sinkhorn_defaults(self, tmp_path, monkeypatch):
+        # the CLI restates no sinkhorn default, so a changed library default reaches it
+        monkeypatch.setitem(sinkhorn.__kwdefaults__, "max_iter", 3)
+        a = write_vec(tmp_path / "a.txt", [0.3, 0.7])
+        b = write_vec(tmp_path / "b.txt", [0.6, 0.4])
+        out = tmp_path / "o.json"
+        argv = ["distance", "--a", a, "--b", b, "--grid-1d", "0", "1",
+                "--epsilon", "0.001", "--out", out]
+        assert run(argv) == cli.EXIT_NO_CONVERGENCE
+        assert json.loads(out.read_text())["iterations"] == 3
+        assert run(argv + ["--max-iter", "100000"]) == cli.EXIT_OK
+
 
 def barycenter_config(tmp_path, **overrides):
     cfg = {
@@ -531,6 +566,21 @@ class TestCommandPipeline:
             regularized.make_regularizer("tv_aniso", lam=0.05))
         fileio.write_vector(tmp_path / "library.csv", expected.weights)
         assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_regbary_without_accel_runs_fista(self, tmp_path):
+        cfg = {k: v for k, v in CONVERGING["regbary"].items() if k != "accel"}
+        code, out, summary = config_run(tmp_path, "regbary", cfg)
+        assert code == cli.EXIT_OK
+        b = fileio.read_vector(tmp_path / "b.txt")
+        cost = CostMatrix.squared_euclidean(grid_points_1d(9, 0.0, 1.0)).entries
+        expected = regularized.solve_regularized(
+            BarycenterProblem(b[:, None], [1.0], cost, 0.05),
+            regularized.graph_gradient(CHAIN["operator"]["edges"], 9),
+            regularized.make_regularizer("tv_aniso", lam=0.05),
+            accel=True, tol=1e-9, max_iter=60000, full_output=True)
+        fileio.write_vector(tmp_path / "library.csv", expected.barycenter.weights)
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+        assert json.loads(summary.read_text())["iterations"] == expected.iterations
 
     def test_flow_writes_its_best_iterate_on_iteration_limit(self, tmp_path, capsys):
         cfg = {**CONVERGING["flow"], "steps": 2, "tol": 1e-14, "max_iter": 3}

@@ -29,7 +29,7 @@ class TestJKOStep:
         direct = jko_step(a0, cost, 1.0 / n, 0.1, op, reg, tol=1e-9,
                           obj_tol=1e-12, max_iter=40000)
         flow = run_flow(a0, 1, cost, 1.0 / n, 0.1, op, reg, tol=1e-9,
-                        obj_tol=1e-12, max_iter=40000, record_descent=False)
+                        obj_tol=1e-12, max_iter=40000)
         assert np.array_equal(direct.weights, flow.iterates[0].weights)
 
     def test_zero_energy_fixed_point_probe(self):
@@ -91,8 +91,7 @@ class TestRunFlow:
         cost, op = chain_setup(n)
         reg = make_regularizer("tv_aniso", lam=0.5)
         flow = run_flow(two_cluster_1d(n), 5, cost, 1.0 / n, 0.1, op, reg,
-                        tol=1e-9, obj_tol=1e-11, max_iter=40000,
-                        record_descent=False)
+                        tol=1e-9, obj_tol=1e-11, max_iter=40000)
         assert isinstance(flow, FlowResult)
         assert len(flow.iterates) == 5
         for it in flow.iterates:
@@ -105,7 +104,7 @@ class TestRunFlow:
         reg = make_regularizer("tv_aniso", lam=1.0)
         a0 = two_cluster_1d(n)
         flow = run_flow(a0, 10, cost, 1.0 / n, 0.1, op, reg, tol=1e-9,
-                        obj_tol=1e-11, max_iter=60000, record_descent=False)
+                        obj_tol=1e-11, max_iter=60000)
         tvs = [reg.value(op.forward(a0))]
         tvs += [reg.value(op.forward(it.weights)) for it in flow.iterates]
         assert all(tvs[k + 1] <= tvs[k] + 1e-10 for k in range(10))
@@ -126,8 +125,7 @@ class TestRunFlow:
         gaps = []
         for delta in (1e-4, 1e-10):
             lifted = a0 + delta * (a0 == 0)
-            near = run_flow(lifted / lifted.sum(), 2, cost, 1.0 / n, 0.1, op, reg,
-                            record_descent=False, **kw)
+            near = run_flow(lifted / lifted.sum(), 2, cost, 1.0 / n, 0.1, op, reg, **kw)
             gaps.append(max(np.abs(x.weights - y.weights).sum()
                             for x, y in zip(flow.iterates, near.iterates)))
         assert gaps[1] <= 1e-6 < gaps[0]
@@ -162,6 +160,16 @@ class TestRunFlow:
             assert sweeps_new <= 2
             assert sweeps_prev <= 2 or case == "asymmetric"
             prev = new
+
+    def test_one_record_per_step(self):
+        n = 24
+        cost, op = chain_setup(n)
+        reg = make_regularizer("tv_aniso", lam=0.5)
+        flow = run_flow(two_cluster_1d(n), 3, cost, 1.0 / n, 0.1, op, reg)
+        assert len(flow.iterates) == len(flow.records) == 3
+        for record in flow.records:
+            assert set(record) == {"objective_new", "objective_prev",
+                                   "solver_iterations", "record_sweeps"}
 
     def test_requires_at_least_one_step(self):
         n = 8

@@ -283,6 +283,16 @@ class TestSolveRegularized:
                                              cost, prob.epsilon)
         assert res.objectives[-1] == float(np.dot(prob.weights, values)) + reg.conjugate(g)
 
+    def test_fista_is_the_default(self):
+        B = two_shapes(6, 6)
+        prob = BarycenterProblem(B, [0.4, 0.6], GridCost2D(6, 6), 4.0 / 36)
+        op, reg = grid_gradient((6, 6)), make_regularizer("tv_iso", lam=0.5)
+        kw = dict(tol=1e-9, obj_tol=1e-9, full_output=True)
+        default = solve_regularized(prob, op, reg, **kw)
+        fista = solve_regularized(prob, op, reg, accel=True, **kw)
+        assert np.array_equal(default.barycenter.weights, fista.barycenter.weights)
+        assert np.array_equal(default.objectives, fista.objectives)
+
     def test_output_on_simplex(self):
         B = two_shapes(6, 6)
         prob = BarycenterProblem(B, [0.5, 0.5], GridCost2D(6, 6), 0.1)
