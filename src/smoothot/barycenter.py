@@ -75,6 +75,7 @@ class BarycenterTrace:
     monitors: list
     iterations: int
     converged: bool
+    evaluations: int = 0    # value-half calls, trials and accepted points alike
     final: Optional[DualIterate] = None
 
 
@@ -132,17 +133,21 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     step_rule : "fixed" (step eps/2, safe by the 1/eps smoothness of each
         semidual term and sum(lambda) = 1), "backtracking" (halve on
         objective increase, grow gently after accepted steps), or a callable
-        hook(F, grad, pairs) -> update matrix for quasi-Newton directions,
-        `pairs` the last ten steps as raveled (s, y, <s, y>) triples of iterate
-        and projected-gradient differences.  A hook step is halved from scale 1
-        to 2**-33 until the objective does not rise, then replaced by a
-        backtracked gradient step.
+        hook(F, grad, pairs, curvature) -> update matrix for quasi-Newton
+        directions, `pairs` the last ten steps as raveled (s, y, <s, y>)
+        triples of iterate and projected-gradient differences, `curvature`
+        the (n, N) matrix lambda_k Delta_k / eps, which bounds the diagonal
+        of the objective's Hessian at F and costs no kernel apply (Delta_k,
+        the k-th semidual gradient, is already completed at F).  A hook
+        step is halved from scale 1 to 2**-33 until the objective does not
+        rise, then replaced by a backtracked gradient step.
     tol : threshold on the convergence monitor, the sum over bins of the
         standard deviation of the N gradient columns.
 
     A trial costs one K^T apply per input; an accepted one adds one K apply.
     Returns (barycenter, trace): the averaged primal iterate as a Histogram
-    and a BarycenterTrace with per-iteration objective/monitor values.
+    and a BarycenterTrace with per-iteration objective/monitor values and
+    the number of objective evaluations.
     """
     if not problem.epsilon > 0:
         raise ValueError("the smooth dual solver requires epsilon > 0")
@@ -156,6 +161,7 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
 
     def value(fmat):
+        trace.evaluations += 1
         values, gradient = semidual_conjugate_batch(fmat, terms, problem.epsilon)
         return float(np.dot(lam, values)), gradient
 
@@ -195,7 +201,8 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
                     s, y = (F - previous[0]).ravel(), (grad - previous[1]).ravel()
                     pairs.append((s, y, float(s @ y)))
                 previous = (F, grad)
-                accepted, _ = search(hook(F, grad, list(pairs)), 1.0, 2.0 ** -33)
+                curvature = deltas * (lam / problem.epsilon)
+                accepted, _ = search(hook(F, grad, list(pairs), curvature), 1.0, 2.0 ** -33)
             if accepted is None:
                 accepted, step = search(grad, step, 1e-16)
             if hook is None:
@@ -224,18 +231,27 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     return Histogram(mean_delta, normalize=True), trace
 
 
+# bound on the condition number of the initial L-BFGS matrix
+_H0_CONDITION = 1e4
+
+
 def lbfgs_direction(fallback_step: Optional[float] = None):
     """Limited-memory quasi-Newton hook for solve_barycenter's step_rule.
 
     Builds an update matrix by the standard two-loop recursion over the
     (s, y, <s, y>) pairs the solver passes, skipping pairs with
     <s, y> <= 1e-18; with none left it returns fallback_step * grad
-    (1e-3 * grad by default).  The solver projects iterates onto the
-    constraint and falls back to a backtracked gradient step whenever the
-    returned direction raises the objective.
+    (1e-3 * grad by default).  The initial matrix is diagonal, h = 1/D
+    scaled by <s, y>/<y, h y> of the newest pair (Gilbert & Lemarechal,
+    Math. Programming 45, 1989), where D is the solver's curvature with
+    entries floored at 1e-4 of its largest: the floor caps the initial
+    matrix's condition number, so bins where the semidual gradient
+    vanishes do not take unbounded steps.  The solver projects iterates
+    onto the constraint and falls back to a backtracked gradient step
+    whenever the returned direction raises the objective.
     """
 
-    def hook(F, grad, pairs):
+    def hook(F, grad, pairs, curvature):
         pairs = [pair for pair in pairs if pair[2] > 1e-18]
         if not pairs:
             step0 = fallback_step if fallback_step is not None else 1e-3
@@ -246,8 +262,9 @@ def lbfgs_direction(fallback_step: Optional[float] = None):
             alpha = float(s @ q) / sy
             q -= alpha * y
             alphas.append(alpha)
+        h = 1.0 / np.maximum(curvature, curvature.max() / _H0_CONDITION).ravel()
         s, y, sy = pairs[-1]
-        q *= sy / float(y @ y)
+        q *= h * (sy / float(y @ (h * y)))
         for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
             beta = float(y @ q) / sy
             q += (alpha - beta) * s

@@ -55,6 +55,8 @@ _RATE_WINDOW = 10       # sweeps over which the contraction rate is measured
 _OMEGA_CAP = 1.95       # starting cap on omega; each restart halves omega - 1
 _REJECT = 10.0          # undo a sweep whose residual exceeds this x the best
 
+_NORMAL = np.finfo(float).tiny  # smallest normal double
+
 
 def _log_kernels(cost, epsilon):
     """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), x a vector or (N, n) stack.
@@ -62,7 +64,8 @@ def _log_kernels(cost, epsilon):
     The package's one switch on the cost's structure: a GridCost2D runs this
     module's `grid_kernel_apply` once per stack (its kernel is symmetric, so
     both directions are one function), a dense cost, given as its validated
-    entries, `dense_kernel_apply` on kernels built here, once per solve.
+    entries, `dense_kernel_apply` on kernels built here, once per solve, with
+    their subnormal entries set to 0.
     """
     if isinstance(cost, GridCost2D):
         def apply(x):
@@ -70,7 +73,12 @@ def _log_kernels(cost, epsilon):
         return apply, apply
     def dense(lc):
         shift = lc.max(axis=0)
-        kernel = (np.ascontiguousarray(np.exp(lc - shift)), shift, lc)
+        kern = np.ascontiguousarray(np.exp(lc - shift))
+        # subnormal entries slow every product; each is below 2.2e-308, so
+        # dropping them moves a sum of at least 1e-250 by under half an ulp,
+        # and lower sums are recomputed from lc
+        kern[kern < _NORMAL] = 0.0
+        kernel = (kern, shift, lc)
         return lambda x: dense_kernel_apply(x, kernel)
     return dense(-cost / epsilon), dense(-cost.T / epsilon)
 

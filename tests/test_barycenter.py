@@ -10,7 +10,7 @@ from smoothot.barycenter import (
     smooth_primal_gradient,
     solve_barycenter,
 )
-from smoothot.core import CostMatrix, IterationLimitError
+from smoothot.core import CostMatrix, IterationLimitError, rescale_median
 from smoothot.legendre import semidual_conjugate
 
 from oracles import finite_diff_gradient, random_histogram, rel_err
@@ -160,11 +160,12 @@ class TestSolveBarycenter:
         rng = np.random.default_rng(65)
         prob = line_problem(rng, 8, 3, 0.1)
         inner = lbfgs_direction(fallback_step=prob.epsilon / 2)
-        calls = []
+        calls, curvatures = [], []
 
-        def recording(F, grad, pairs):
+        def recording(F, grad, pairs, curvature):
             calls.append((F.copy(), grad.copy(), list(pairs)))
-            return inner(F, grad, pairs)
+            curvatures.append(curvature.copy())
+            return inner(F, grad, pairs, curvature)
 
         with pytest.raises(IterationLimitError):
             solve_barycenter(prob, step_rule=recording, tol=0.0, max_iter=25)
@@ -178,6 +179,47 @@ class TestSolveBarycenter:
                 assert np.array_equal(s, (f_next - f_prev).ravel())
                 assert np.array_equal(y, (g_next - g_prev).ravel())
                 assert sy == float(s @ y)
+        # the curvature is lambda_k Delta_k / eps at the iterate the hook is called at
+        for (F, _, _), curvature in zip(calls, curvatures):
+            for k in range(prob.num_inputs):
+                delta = semidual_conjugate(F[:, k], prob.histograms[:, k],
+                                           prob.cost, prob.epsilon).gradient
+                np.testing.assert_allclose(curvature[:, k],
+                                           prob.weights[k] * delta / prob.epsilon,
+                                           rtol=1e-12, atol=0.0)
+
+    def test_evaluations_count_value_calls(self, monkeypatch):
+        import smoothot.barycenter as module
+
+        rng = np.random.default_rng(66)
+        prob = line_problem(rng, 8, 3, 0.1)
+        value_half = module.semidual_conjugate_batch
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return value_half(*args)
+
+        monkeypatch.setattr(module, "semidual_conjugate_batch", counted)
+        for rule in ("fixed", "backtracking", lbfgs_direction(fallback_step=0.05)):
+            calls.clear()
+            _, trace = solve_barycenter(prob, step_rule=rule, tol=1e-6, max_iter=5000)
+            assert trace.evaluations == len(calls) > trace.iterations
+
+    def test_lbfgs_solves_criterion_5_instance_in_few_iterations(self):
+        # the instance of acceptance criterion 5: masses down to 2.5e-57, where
+        # a scalar initial matrix takes 2,307 iterations
+        grid = np.linspace(-6.0, 6.0, 100)
+        B = np.column_stack([np.exp(-((grid - mu) ** 2) / (2 * sd * sd))
+                             for mu, sd in ((2.0, 1.0), (-2.0, 0.5))])
+        B /= B.sum(axis=0)
+        cost = CostMatrix.squared_euclidean(grid.reshape(-1, 1)).entries
+        prob = BarycenterProblem(B, [0.5, 0.5], rescale_median(cost), 0.01)
+        _, trace = solve_barycenter(prob, tol=1e-5, max_iter=4000,
+                                    step_rule=lbfgs_direction(fallback_step=0.005))
+        assert trace.converged
+        assert trace.iterations <= 200
+        assert trace.evaluations <= 250
 
     def test_iteration_limit_error_payload(self):
         rng = np.random.default_rng(63)
@@ -211,6 +253,36 @@ class TestSolveBarycenter:
         prob2 = line_problem(rng, 5, 2, 0.2)
         with pytest.raises(ValueError):
             solve_barycenter(prob2, step_rule="wat")
+
+
+class TestLbfgsDirection:
+    def test_pair_on_the_curvature_gives_its_inverse(self):
+        rng = np.random.default_rng(68)
+        shape = (7, 3)
+        D = rng.uniform(0.5, 2.0, size=shape)
+        grad = rng.standard_normal(shape)
+        s = rng.standard_normal(shape[0] * shape[1])
+        y = D.ravel() * s
+        hook = lbfgs_direction()
+        direction = hook(np.zeros(shape), grad, [(s, y, float(s @ y))], D)
+        np.testing.assert_allclose(direction, grad / D, rtol=1e-12, atol=0.0)
+
+    def test_zero_curvature_entries_give_a_finite_direction(self):
+        rng = np.random.default_rng(69)
+        shape = (6, 2)
+        D = rng.uniform(0.5, 2.0, size=shape)
+        D[[0, 4], [1, 0]] = 0.0
+        grad = rng.standard_normal(shape)
+        s = rng.standard_normal(D.size)
+        y = rng.uniform(0.5, 2.0, size=D.size) * s
+        direction = lbfgs_direction()(np.zeros(shape), grad, [(s, y, float(s @ y))], D)
+        assert np.isfinite(direction).all()
+
+    def test_no_pairs_give_the_fallback_step(self):
+        grad = np.arange(6.0).reshape(3, 2)
+        direction = lbfgs_direction(fallback_step=0.25)(np.zeros((3, 2)), grad, [],
+                                                        np.ones((3, 2)))
+        assert np.array_equal(direction, 0.25 * grad)
 
 
 class TestSmoothPrimalGradient:
