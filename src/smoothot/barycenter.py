@@ -1,6 +1,6 @@
 """Smooth-dual Wasserstein barycenter solver with primal recovery.
 
-Minimizes sum_k lambda_k W_eps(a, b_k) through its dual: projected gradient
+Minimizes sum_k lambda_k W_eps(a, b_k) through its dual: projected L-BFGS
 descent on F = [f_1 ... f_N] constrained to F @ lambda = 0, valuing trials
 and completing gradients at accepted points only, by the semidual transform.
 The smooth-primal and eps = 0 dual-subgradient baselines live here too.
@@ -121,18 +121,19 @@ def _feasible(F, lam, lam_sq):
     return proj - proj.sum(axis=0, keepdims=True) / proj.shape[0]
 
 
-StepRule = Union[str, Callable]
+StepRule = Optional[Union[str, Callable]]
 
 
-def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed",
+def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = None,
                      tol: float = 1e-6, max_iter: int = 10_000):
-    """Projected gradient descent on the dual barycenter problem.
+    """Projected quasi-Newton descent on the dual barycenter problem.
 
     Parameters
     ----------
-    step_rule : "fixed" (step eps/2, safe by the 1/eps smoothness of each
-        semidual term and sum(lambda) = 1), "backtracking" (halve on
-        objective increase, grow gently after accepted steps), or a callable
+    step_rule : None (the default: the diagonally scaled L-BFGS hook
+        `lbfgs_direction(fallback_step=eps/2)`), "backtracking" (gradient
+        steps from eps/2, halved on objective increase and grown gently
+        after accepted steps), or a callable
         hook(F, grad, pairs, curvature) -> update matrix for quasi-Newton
         directions, `pairs` the last ten steps as raveled (s, y, <s, y>)
         triples of iterate and projected-gradient differences, `curvature`
@@ -155,9 +156,11 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     lam_sq = float(lam @ lam)
     F = np.zeros_like(problem.histograms)
     step = problem.epsilon / 2
+    if step_rule is None:
+        step_rule = lbfgs_direction(fallback_step=step)
     hook = step_rule if callable(step_rule) else None
-    if hook is None and step_rule not in ("fixed", "backtracking"):
-        raise ValueError("step_rule must be 'fixed', 'backtracking', or a callable")
+    if hook is None and step_rule != "backtracking":
+        raise ValueError("step_rule must be None, 'backtracking', or a callable")
     terms = _semidual_terms(problem.histograms, _log_kernels(problem.cost, problem.epsilon))
 
     def value(fmat):
@@ -191,22 +194,18 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
         if stalled >= 3:  # objective pinned at its float resolution
             break
 
-        if step_rule == "fixed":
-            candidate = _feasible(F - step * grad, lam, lam_sq)
-            accepted = (candidate, *value(candidate))
-        else:
-            accepted = None
-            if hook is not None:
-                if previous is not None:
-                    s, y = (F - previous[0]).ravel(), (grad - previous[1]).ravel()
-                    pairs.append((s, y, float(s @ y)))
-                previous = (F, grad)
-                curvature = deltas * (lam / problem.epsilon)
-                accepted, _ = search(hook(F, grad, list(pairs), curvature), 1.0, 2.0 ** -33)
-            if accepted is None:
-                accepted, step = search(grad, step, 1e-16)
-            if hook is None:
-                step = min(step * 1.25, 1e6 * problem.epsilon)
+        accepted = None
+        if hook is not None:
+            if previous is not None:
+                s, y = (F - previous[0]).ravel(), (grad - previous[1]).ravel()
+                pairs.append((s, y, float(s @ y)))
+            previous = (F, grad)
+            curvature = deltas * (lam / problem.epsilon)
+            accepted, _ = search(hook(F, grad, list(pairs), curvature), 1.0, 2.0 ** -33)
+        if accepted is None:
+            accepted, step = search(grad, step, 1e-16)
+        if hook is None:
+            step = min(step * 1.25, 1e6 * problem.epsilon)
 
         stalled = stalled + 1 if accepted is None or accepted[1] == objective else 0
         if accepted is not None:  # else no decrease at any step: stay put
@@ -215,33 +214,32 @@ def solve_barycenter(problem: BarycenterProblem, *, step_rule: StepRule = "fixed
     else:
         it = max_iter
 
+    monitor, mean_delta = _monitor_and_mean(deltas)
+    trace.final = DualIterate(potentials=F, objective=objective, monitor=monitor)
+    barycenter = Histogram(mean_delta, normalize=True)
     if not trace.converged:
-        monitor, mean_delta = _monitor_and_mean(deltas)
-        trace.final = DualIterate(potentials=F, objective=objective, monitor=monitor)
         raise IterationLimitError(
             f"barycenter solver did not reach tol={tol:g} "
             f"({'stalled at float resolution after' if it < max_iter else 'in'} "
             f"{it} iterations)",
-            best=(Histogram(mean_delta, normalize=True), trace),
+            best=(barycenter, trace),
             residual=monitor,
             iterations=it,
         )
-
-    trace.final = DualIterate(potentials=F, objective=objective, monitor=monitor)
-    return Histogram(mean_delta, normalize=True), trace
+    return barycenter, trace
 
 
 # bound on the condition number of the initial L-BFGS matrix
 _H0_CONDITION = 1e4
 
 
-def lbfgs_direction(fallback_step: Optional[float] = None):
-    """Limited-memory quasi-Newton hook for solve_barycenter's step_rule.
+def lbfgs_direction(fallback_step: float = 1e-3):
+    """Limited-memory quasi-Newton hook, solve_barycenter's default step rule.
 
     Builds an update matrix by the standard two-loop recursion over the
     (s, y, <s, y>) pairs the solver passes, skipping pairs with
-    <s, y> <= 1e-18; with none left it returns fallback_step * grad
-    (1e-3 * grad by default).  The initial matrix is diagonal, h = 1/D
+    <s, y> <= 1e-18; with none left it returns fallback_step * grad (the
+    default step rule passes eps/2).  The initial matrix is diagonal, h = 1/D
     scaled by <s, y>/<y, h y> of the newest pair (Gilbert & Lemarechal,
     Math. Programming 45, 1989), where D is the solver's curvature with
     entries floored at 1e-4 of its largest: the floor caps the initial
@@ -254,8 +252,7 @@ def lbfgs_direction(fallback_step: Optional[float] = None):
     def hook(F, grad, pairs, curvature):
         pairs = [pair for pair in pairs if pair[2] > 1e-18]
         if not pairs:
-            step0 = fallback_step if fallback_step is not None else 1e-3
-            return step0 * grad
+            return fallback_step * grad
         q = grad.ravel().copy()
         alphas = []
         for s, y, sy in reversed(pairs):

@@ -74,8 +74,7 @@ _CONFIG_SCHEMAS = {
              "tau": _NUMBER},
     "semidiscrete": {**_SOLVER_KEYS, "step": _NUMBER,
                      "source": {"type": str, "n": int, "lo": _NUMBER, "hi": _NUMBER,
-                                "d": int, "seed": int},
-                     "seed": int},
+                                "d": int, "seed": int}},
 }
 
 
@@ -130,14 +129,22 @@ def _solver_kw(cfg, *keys) -> dict:
     return {k: float(cfg[k]) if k == "tol" else cfg[k] for k in keys if k in cfg}
 
 
-def _load_density(path, normalize: bool):
-    """Load a histogram file (.pgm or text); returns (weights, grid shape or None)."""
-    p = Path(path)
-    if p.suffix.lower() == ".pgm":
-        img, shape = fileio.read_pgm(p)
-        return img.ravel(), shape
-    values = fileio.read_vector(p)
-    return Histogram(values, normalize=normalize).weights, None
+def _load_densities(args, paths):
+    """The weights of histogram files (.pgm or text) and their grid shape (or None)."""
+    columns, shapes = [], set()
+    for path in map(Path, paths):
+        if path.suffix.lower() == ".pgm":
+            values, shape = fileio.read_pgm(path)
+            shapes.add(shape)
+        else:
+            values = Histogram(fileio.read_vector(path), normalize=args.normalize).weights
+        columns.append(values.ravel())
+    if len(shapes) > 1:
+        raise ValueError("all PGM inputs must share one grid shape")
+    shape = shapes.pop() if shapes else None
+    if args.out_pgm and shape is None:  # checked here, before any solve
+        raise ValueError("--out-pgm needs PGM (grid) inputs")
+    return columns, shape
 
 
 def _build_cost(cfg, n: int, shape, path_hint: str):
@@ -189,8 +196,6 @@ def _run(args, solve, write, summarize, best=lambda exc: exc.best) -> int:
 
 def _write_pgm(args, values, shape) -> None:
     if args.out_pgm:
-        if shape is None:
-            raise ValueError("--out-pgm needs PGM (grid) inputs")
         fileio.write_pgm(args.out_pgm, np.asarray(values).reshape(shape))
 
 
@@ -243,12 +248,7 @@ def cmd_distance(args) -> int:
 
 def _load_barycenter_problem(args, cfg):
     """The problem over the input histograms, and their grid shape (or None)."""
-    loaded = [_load_density(path, args.normalize) for path in args.inputs]
-    columns = [w for w, _ in loaded]
-    shapes = {s for _, s in loaded if s is not None}
-    if len(shapes) > 1:
-        raise ValueError("all PGM inputs must share one grid shape")
-    shape = shapes.pop() if shapes else None
+    columns, shape = _load_densities(args, args.inputs)
     if len({c.size for c in columns}) != 1:
         raise ValueError("all inputs must have the same length")
     bmat = np.column_stack(columns)
@@ -331,7 +331,7 @@ def _write_trajectory(args, result, shape) -> None:
 
 def cmd_flow(args) -> int:
     cfg = load_config(args.config, args.command)
-    a0, shape = _load_density(args.initial, args.normalize)
+    (a0,), shape = _load_densities(args, [args.initial])
     n = a0.size
     cost = _build_cost(cfg, n, shape, args.config)
     op, reg = _make_regularized(cfg, n, shape)
@@ -369,7 +369,7 @@ def _make_source(cfg, args):
     n, lo, hi = spec["n"], spec["lo"], spec["hi"]
     if kind == "grid1d":
         return SampledMeasure.uniform_grid_1d(n, lo, hi)
-    rng = np.random.default_rng(spec.get("seed", cfg.get("seed", 0)))
+    rng = np.random.default_rng(spec.get("seed", 0))
     pts = rng.uniform(lo, hi, size=(n, spec.get("d", 1)))
     return SampledMeasure(pts, np.full(n, 1.0 / n))
 

@@ -98,7 +98,7 @@ class TestSolveBarycenter:
         )[0]
         assert np.abs(single.weights - double.weights).sum() <= 1e-6
 
-    def test_objective_trace_nonincreasing_fixed_step(self):
+    def test_objective_trace_nonincreasing_default_step(self):
         rng = np.random.default_rng(58)
         prob = line_problem(rng, 8, 3, 0.25)
         try:
@@ -109,7 +109,7 @@ class TestSolveBarycenter:
         assert (diffs <= 1e-12).all()
 
     @staticmethod
-    def _run_fixed(problem, iters):
+    def _run_to_limit(problem, iters):
         try:
             return solve_barycenter(problem, tol=1e-16, max_iter=iters)
         except IterationLimitError as exc:
@@ -118,20 +118,20 @@ class TestSolveBarycenter:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(59)
         prob = line_problem(rng, 6, 3, 0.3)
-        a1, _ = self._run_fixed(prob, 120)
+        a1, _ = self._run_to_limit(prob, 120)
         perm = [2, 0, 1]
         prob2 = BarycenterProblem(prob.histograms[:, perm], prob.weights[perm],
                                   prob.cost, prob.epsilon)
-        a2, _ = self._run_fixed(prob2, 120)
+        a2, _ = self._run_to_limit(prob2, 120)
         assert np.abs(a1.weights - a2.weights).max() <= 1e-10
 
     def test_cost_constant_shift_invariance(self):
         rng = np.random.default_rng(60)
         prob = line_problem(rng, 6, 2, 0.3)
-        a1, _ = self._run_fixed(prob, 120)
+        a1, _ = self._run_to_limit(prob, 120)
         prob2 = BarycenterProblem(prob.histograms, prob.weights,
                                   np.asarray(prob.cost) + 0.37, prob.epsilon)
-        a2, _ = self._run_fixed(prob2, 120)
+        a2, _ = self._run_to_limit(prob2, 120)
         assert np.abs(a1.weights - a2.weights).max() <= 1e-8
 
     def test_column_agreement_and_primal_dual_relation(self):
@@ -201,7 +201,7 @@ class TestSolveBarycenter:
             return value_half(*args)
 
         monkeypatch.setattr(module, "semidual_conjugate_batch", counted)
-        for rule in ("fixed", "backtracking", lbfgs_direction(fallback_step=0.05)):
+        for rule in (None, "backtracking", lbfgs_direction(fallback_step=0.05)):
             calls.clear()
             _, trace = solve_barycenter(prob, step_rule=rule, tol=1e-6, max_iter=5000)
             assert trace.evaluations == len(calls) > trace.iterations
@@ -215,11 +215,16 @@ class TestSolveBarycenter:
         B /= B.sum(axis=0)
         cost = CostMatrix.squared_euclidean(grid.reshape(-1, 1)).entries
         prob = BarycenterProblem(B, [0.5, 0.5], rescale_median(cost), 0.01)
-        _, trace = solve_barycenter(prob, tol=1e-5, max_iter=4000,
+        a, trace = solve_barycenter(prob, tol=1e-5, max_iter=4000,
                                     step_rule=lbfgs_direction(fallback_step=0.005))
         assert trace.converged
         assert trace.iterations <= 200
         assert trace.evaluations <= 250
+        # the default step rule is this hook with fallback step eps/2
+        a_default, default = solve_barycenter(prob, tol=1e-5, max_iter=4000)
+        assert np.array_equal(a_default.weights, a.weights)
+        assert (default.iterations, default.evaluations) == (trace.iterations,
+                                                             trace.evaluations)
 
     def test_iteration_limit_error_payload(self):
         rng = np.random.default_rng(63)
@@ -251,8 +256,9 @@ class TestSolveBarycenter:
         with pytest.raises(ValueError):
             solve_barycenter(prob)
         prob2 = line_problem(rng, 5, 2, 0.2)
-        with pytest.raises(ValueError):
-            solve_barycenter(prob2, step_rule="wat")
+        for rule in ("wat", "fixed"):
+            with pytest.raises(ValueError):
+                solve_barycenter(prob2, step_rule=rule)
 
 
 class TestLbfgsDirection:

@@ -9,8 +9,9 @@ import pytest
 
 import smoothot
 from smoothot import cli, fileio, regularized
-from smoothot.barycenter import BarycenterProblem
-from smoothot.core import CostMatrix, GridCost2D, IterationLimitError, grid_points_1d
+from smoothot.barycenter import BarycenterProblem, solve_barycenter
+from smoothot.core import (CostMatrix, GridCost2D, IterationLimitError, grid_points_1d,
+                           rescale_median)
 from smoothot.entropic import dual_value, sinkhorn
 from smoothot.cli import main
 from smoothot.semidiscrete import DiscreteTarget, SampledMeasure, semidiscrete_objective_grad
@@ -256,7 +257,62 @@ def barycenter_config(tmp_path, **overrides):
     return path
 
 
+def gaussian_barycenter(tmp_path, cfg):
+    """Run `barycenter` on two Gaussians on 100 bins of [-6, 6] (criterion 5's instance).
+
+    Returns the exit code, the --out-csv path and the library's solve_barycenter
+    output for the same problem at its defaults, written in the same format.
+    """
+    grid = grid_points_1d(100, -6.0, 6.0)
+    inputs = []
+    for k, (mu, sd) in enumerate(((2.0, 1.0), (-2.0, 0.5))):
+        v = np.exp(-((grid.ravel() - mu) ** 2) / (2 * sd * sd))
+        inputs.append(write_vec(tmp_path / f"g{k}.txt", v / v.sum()))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilon": 0.01, "rescale_median": True,
+                                "cost": {"type": "grid1d", "lo": -6.0, "hi": 6.0}, **cfg}))
+    out = tmp_path / "out.csv"
+    code = run(["barycenter", "--config", path, "--inputs", *inputs, "--out-csv", out])
+    B = np.column_stack([fileio.read_vector(f) for f in inputs])
+    cost = rescale_median(CostMatrix.squared_euclidean(grid).entries)
+    expected, _ = solve_barycenter(BarycenterProblem(B, [0.5, 0.5], cost, 0.01))
+    library = tmp_path / "library.csv"
+    fileio.write_vector(library, expected.weights)
+    return code, out, library
+
+
 class TestBarycenterCommand:
+    def test_gaussian_instance_converges_at_the_default_step_rule(self, tmp_path):
+        code, out, library = gaussian_barycenter(tmp_path, {})
+        assert code == cli.EXIT_OK
+        assert out.read_bytes() == library.read_bytes()
+
+    def test_omitted_keys_take_the_solver_defaults(self, tmp_path, monkeypatch):
+        # the CLI restates no solver default, so a changed library default reaches it
+        monkeypatch.setitem(cli.solve_barycenter.__kwdefaults__, "tol", 1e-3)
+        code, out, library = gaussian_barycenter(tmp_path, {})
+        assert code == cli.EXIT_OK
+        assert out.read_bytes() == library.read_bytes()
+
+    @pytest.mark.parametrize("command", ["barycenter", "regbary", "flow"])
+    def test_out_pgm_with_text_inputs_fails_before_solving(self, tmp_path, monkeypatch,
+                                                           capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        for name in ("solve_barycenter", "solve_regularized", "run_flow"):
+            monkeypatch.setattr(cli, name, never)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(CONVERGING[command]))
+        hist = write_vec(tmp_path / "b.txt", np.full(9, 1.0 / 9))
+        out, summary = tmp_path / "out.csv", tmp_path / "summary.json"
+        code = run([command, "--config", path,
+                    "--initial" if command == "flow" else "--inputs", hist,
+                    "--out-csv", out, "--summary", summary, "--out-pgm", tmp_path / "o.pgm"])
+        assert code == cli.EXIT_DATA
+        assert "--out-pgm needs PGM (grid) inputs" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_identical_inputs_match_single_run_byte_for_byte(self, tmp_path):
         rng = np.random.default_rng(115)
         b = rng.dirichlet(np.ones(8)) + 1e-3
@@ -607,12 +663,17 @@ class TestCommandPipeline:
         assert code == cli.EXIT_CONFIG
         assert f"{key} (expected " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["barycenter", "regbary"])
-    def test_tau_is_the_flow_time_step_only(self, tmp_path, capsys, command):
-        # the solvers' steps are eps/2 and 1/L; only flow reads tau
-        code, _, _ = config_run(tmp_path, command, {**CONVERGING[command], "tau": 0.1})
+    @pytest.mark.parametrize("command, key", [
+        pytest.param("barycenter", "tau", id="barycenter"),
+        pytest.param("regbary", "tau", id="regbary"),
+        # a random source's seed is source.seed, not a top-level key
+        pytest.param("semidiscrete", "seed", id="semidiscrete-seed"),
+    ])
+    def test_tau_is_the_flow_time_step_only(self, tmp_path, capsys, command, key):
+        # the solvers pick their own steps; only flow reads tau
+        code, _, _ = config_run(tmp_path, command, {**CONVERGING[command], key: 1})
         assert code == cli.EXIT_CONFIG
-        assert "tau (unknown key)" in capsys.readouterr().err
+        assert f"{key} (unknown key)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, change, key", [
         ("regbary", {"regularizer": "quadratic", "lambda": None}, "lambda"),
