@@ -257,7 +257,7 @@ def barycenter_config(tmp_path, **overrides):
     return path
 
 
-def gaussian_barycenter(tmp_path, cfg):
+def gaussian_barycenter(tmp_path):
     """Run `barycenter` on two Gaussians on 100 bins of [-6, 6] (criterion 5's instance).
 
     Returns the exit code, the --out-csv path and the library's solve_barycenter
@@ -270,7 +270,7 @@ def gaussian_barycenter(tmp_path, cfg):
         inputs.append(write_vec(tmp_path / f"g{k}.txt", v / v.sum()))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"epsilon": 0.01, "rescale_median": True,
-                                "cost": {"type": "grid1d", "lo": -6.0, "hi": 6.0}, **cfg}))
+                                "cost": {"type": "grid1d", "lo": -6.0, "hi": 6.0}}))
     out = tmp_path / "out.csv"
     code = run(["barycenter", "--config", path, "--inputs", *inputs, "--out-csv", out])
     B = np.column_stack([fileio.read_vector(f) for f in inputs])
@@ -283,14 +283,14 @@ def gaussian_barycenter(tmp_path, cfg):
 
 class TestBarycenterCommand:
     def test_gaussian_instance_converges_at_the_default_step_rule(self, tmp_path):
-        code, out, library = gaussian_barycenter(tmp_path, {})
+        code, out, library = gaussian_barycenter(tmp_path)
         assert code == cli.EXIT_OK
         assert out.read_bytes() == library.read_bytes()
 
     def test_omitted_keys_take_the_solver_defaults(self, tmp_path, monkeypatch):
         # the CLI restates no solver default, so a changed library default reaches it
         monkeypatch.setitem(cli.solve_barycenter.__kwdefaults__, "tol", 1e-3)
-        code, out, library = gaussian_barycenter(tmp_path, {})
+        code, out, library = gaussian_barycenter(tmp_path)
         assert code == cli.EXIT_OK
         assert out.read_bytes() == library.read_bytes()
 
