@@ -27,7 +27,7 @@ from .core import (
     grid_points_1d,
     rescale_median,
 )
-from .entropic import DEFAULT_MAX_ITER, DEFAULT_TOL, dual_value, primal_value, sinkhorn
+from .entropic import DEFAULT_MAX_ITER, DEFAULT_TOL, primal_value, sinkhorn
 from .flow import run_flow
 from .lp_oracle import exact_ot
 from .regularized import (
@@ -41,7 +41,6 @@ from .semidiscrete import (
     DiscreteTarget,
     SampledMeasure,
     laguerre_assign,
-    semidiscrete_objective_grad,
     solve_semidiscrete,
 )
 
@@ -168,20 +167,20 @@ def _build_cost(cfg, n: int, shape, path_hint: str):
     return rescale_median(cost) if cfg.get("rescale_median", False) else cost
 
 
-def _run(args, solve, write, summarize, best=lambda exc: exc.best) -> int:
+def _run(args, solve, write, summarize) -> int:
     """Time solve(), write its outputs and the summary, and return the exit code.
 
     The summary is `summarize(result)` plus `converged` and `wall_time`; it
     goes to the file `args.summary`, to stdout if that is "-", and nowhere if
     it is None.  On IterationLimitError: report it, exit 3, and write from
-    `best(exc)` instead.
+    `exc.best`, the solver's own result record.
     """
     start = time.perf_counter()
     try:
         result, code = solve(), EXIT_OK
     except IterationLimitError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        result, code = best(exc), EXIT_NO_CONVERGENCE
+        result, code = exc.best, EXIT_NO_CONVERGENCE
     wall = time.perf_counter() - start
     write(result)
     if args.summary:
@@ -220,16 +219,11 @@ def cmd_distance(args) -> int:
 
     def write(out):
         # no plan on exit 3: an unconverged plan may miss the marginals
-        if args.dump_coupling and not isinstance(out, IterationLimitError):
+        if args.dump_coupling and (eps == 0 or out.converged):
             fileio.write_matrix(args.dump_coupling,
                                 out.coupling if eps == 0 else out.coupling.matrix)
 
     def summarize(out):
-        if isinstance(out, IterationLimitError):
-            f, g = out.best
-            return {"dual_value": dual_value(f, g, a, b, cost, eps),
-                    "iterations": out.iterations, "residual": out.residual,
-                    "epsilon": eps}
         if eps == 0:
             plan = out.coupling
             return {"value": out.value,
@@ -237,13 +231,16 @@ def cmd_distance(args) -> int:
                     "marginal_residuals": [float(np.abs(plan.sum(axis=1) - a).sum()),
                                            float(np.abs(plan.sum(axis=0) - b).sum())],
                     "iterations": out.pivots, "restarts": 0, "epsilon": 0.0}
+        if not out.converged:
+            return {"dual_value": out.value, "iterations": out.iterations,
+                    "residual": max(out.row_residual, out.col_residual), "epsilon": eps}
         return {"value": primal_value(a, b, cost, eps, out.coupling),
                 "dual_value": out.value,
                 "marginal_residuals": [out.row_residual, out.col_residual],
                 "iterations": out.iterations, "restarts": out.restarts,
                 "epsilon": eps}
 
-    return _run(args, solve, write, summarize, best=lambda exc: exc)
+    return _run(args, solve, write, summarize)
 
 
 def _load_barycenter_problem(args, cfg):
@@ -380,11 +377,6 @@ def cmd_semidiscrete(args) -> int:
     target = DiscreteTarget(*_load_points_file(args.target))
     epsilon = float(cfg.get("epsilon", 0.0))
 
-    def best(exc):
-        value, _ = semidiscrete_objective_grad(exc.best, source, target, epsilon)
-        return exc.best, {"iterations": exc.iterations, "grad_norm": exc.residual,
-                          "values": [value]}
-
     def summarize(out):
         g, info = out
         return {"dual_value": info["values"][-1], "grad_norm": info["grad_norm"],
@@ -397,7 +389,7 @@ def cmd_semidiscrete(args) -> int:
             source, target, epsilon, tol=float(cfg.get("tol", 1e-6)),
             **_solver_kw(cfg, "step", "max_iter"), full_output=True),
         write=lambda out: fileio.write_vector(args.out_csv, out[0]),
-        summarize=summarize, best=best,
+        summarize=summarize,
     )
 
 

@@ -33,8 +33,9 @@ class FeasibilityError(ValueError):
 class IterationLimitError(RuntimeError):
     """An iterative solver hit max_iter before reaching its tolerance.
 
-    Attributes carry the best iterate seen and the last convergence measure,
-    so callers can inspect, loosen the tolerance, or resume.
+    `best` is the raising solver's result record, what it returns (with
+    full_output=True where it has that flag); `residual` is the last
+    convergence measure.  Callers can inspect, loosen the tolerance, or resume.
     """
 
     def __init__(self, message: str, *, best=None, residual=None, iterations=None):

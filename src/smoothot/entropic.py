@@ -190,6 +190,7 @@ class SinkhornResult:
     row_residual: float
     col_residual: float
     restarts: int = 0
+    converged: bool = True
 
 
 def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
@@ -202,8 +203,8 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     cost : ground cost matrix or GridCost2D
     epsilon : regularization strength, > 0
     tol : l1 marginal violation of the implied plan, checked every sweep
-    max_iter : sweep budget; exceeding it raises IterationLimitError carrying
-        the last accepted potentials
+    max_iter : sweep budget, >= 1; running out raises IterationLimitError whose
+        `best` is the result at the last accepted sweep, with converged=False
     f0 : optional warm start for the first potential, a finite vector with
         one entry per bin of a
 
@@ -241,6 +242,8 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         raise ValueError("sinkhorn requires epsilon > 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     aw = as_weights(a, "a")
     bw = as_weights(b, "b")
     c = as_kernel_cost(cost)
@@ -261,11 +264,10 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     omega, cap, best_res = 1.0, _OMEGA_CAP, np.inf
     plain = []  # residuals of the sweeps at omega = 1 since the last restart
     restarts = 0
-    iterations = 0
-    row_res = col_res = np.inf
+    converged = False
     for iterations in range(1, max_iter + 1):
         if omega > 1.0:
-            kept = f, g, log_kf, row_res, col_res
+            kept = f, g, log_kf, row, row_res, col_res
         if grid:
             # the grid sweep applies the kernel to f again rather than carry
             # log_kf over from the last sweep: the same numbers, one apply
@@ -289,7 +291,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         residual = max(row_res, col_res)
         if omega > 1.0 and not residual <= _REJECT * best_res:
             # safeguard: undo the sweep, lower the cap, measure theta again
-            f, g, log_kf, row_res, col_res = kept
+            f, g, log_kf, row, row_res, col_res = kept
             cap = 1.0 + 0.5 * (omega - 1.0)
             omega = 1.0
             plain = []
@@ -298,6 +300,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         best_res = min(best_res, residual)
         if row_res <= tol and col_res <= tol:
             if omega == 1.0:
+                converged = True
                 break
             # end on a plain sweep: its row marginal is a to rounding, so the
             # plan has mass 1
@@ -308,18 +311,11 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
                 ratio = plain[-1] / plain[-1 - _RATE_WINDOW]
                 theta = min(1.0, ratio ** (1.0 / _RATE_WINDOW))
                 omega = min(cap, 2.0 / (1.0 + np.sqrt(1.0 - theta)))
-    else:
-        raise IterationLimitError(
-            f"sinkhorn did not reach tol={tol:g} in {max_iter} sweeps",
-            best=(f, g),
-            residual=max(row_res, col_res),
-            iterations=max_iter,
-        )
 
     value = float(np.dot(f, aw) + np.dot(g, bw) - epsilon * row.sum())
     # g of a zero column: the transform of the final f, like f of a zero row
     g = np.where(bw > 0, g, -epsilon * log_kf)
-    return SinkhornResult(
+    result = SinkhornResult(
         potentials=Potentials(f, g),
         coupling=Coupling.gibbs(f + epsilon * ma, g + epsilon * mb, c, epsilon, aw, bw),
         value=value,
@@ -327,7 +323,13 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         row_residual=row_res,
         col_residual=col_res,
         restarts=restarts,
+        converged=converged,
     )
+    if not converged:
+        raise IterationLimitError(
+            f"sinkhorn did not reach tol={tol:g} in {max_iter} sweeps",
+            best=result, residual=max(row_res, col_res), iterations=max_iter)
+    return result
 
 
 def symmetric_potential(a, cost, epsilon: float, *,

@@ -76,9 +76,9 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     arguments (tol, max_iter, accel, ...) go to every step's
     solve_regularized, whose defaults fill the rest.
 
-    A step that hits max_iter re-raises its IterationLimitError with `best`
-    set to the FlowResult so far: the completed steps and their records, then
-    the failing step's best barycenter.
+    An IterationLimitError in a step, from its solve or its records' solves,
+    is re-raised with `best` set to the FlowResult so far: the completed steps
+    and their records, then the failing step's (best) barycenter.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -88,16 +88,18 @@ def run_flow(a0, steps: int, cost, epsilon: float, tau_flow: float,
     records = []
     state = None
     for _ in range(steps):
+        result = None
         try:
             result = jko_step(current, cost, epsilon, tau_flow, op, reg, x0=state,
                               full_output=True, **solver_kw)
+            nxt = result.barycenter.weights
+            new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol, f0=result.f_last)
+            f_self = symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
+            prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
         except IterationLimitError as exc:
-            exc.best = FlowResult(iterates=iterates + [exc.best.barycenter], records=records)
+            step = exc.best if result is None else result
+            exc.best = FlowResult(iterates=iterates + [step.barycenter], records=records)
             raise
-        nxt = result.barycenter.weights
-        new = sinkhorn(nxt, current, cost, epsilon, tol=sinkhorn_tol, f0=result.f_last)
-        f_self = symmetric_potential(current, cost, epsilon, tol=sinkhorn_tol)
-        prev = sinkhorn(current, current, cost, epsilon, tol=sinkhorn_tol, f0=f_self)
         records.append({
             "objective_new": new.value + energy(op.forward(nxt)),
             "objective_prev": prev.value + energy(op.forward(current)),

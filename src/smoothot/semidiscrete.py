@@ -163,8 +163,12 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
     At epsilon > 0 the default start g_j = min_i c(x_i, y_j) gives every cell a sample.
     Stops when the gradient sup-norm falls below tol, i.e. when the cell
     masses match the target masses to that accuracy.  `full_output` adds
-    the iterations, final gradient norm, value trace and dual evaluations.
+    the iterations, final gradient norm, value trace (ending at the returned
+    g) and dual evaluations.  Running out of max_iter >= 1 iterations, or of
+    ascent steps, raises IterationLimitError with `best` that same (g, info).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     m = target.masses.size
     cost = target.cost_to(source.points)
     if g0 is None:
@@ -189,10 +193,10 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
         return -terms[0], terms
 
     _, (value, grad, chi) = negated_dual(g)
-    history = []
+    grad_norm = float(np.abs(grad).max(initial=0.0))
+    history = [value]  # E at each iterate, ending at the returned g
+    message = None
     for it in range(1, max_iter + 1):
-        grad_norm = float(np.abs(grad).max(initial=0.0))
-        history.append(value)
         if grad_norm <= tol:
             break
         if epsilon > 0:
@@ -205,26 +209,25 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
                 lambda x, _: x - x.mean(), negated_dual,
                 lambda t, _: -(value + 1e-4 * t * slope - slack))
             if accepted is None:
-                raise IterationLimitError(
-                    f"semidiscrete solve stalled at iteration {it}: no step "
-                    f"along the search direction raises the dual value",
-                    best=g, residual=grad_norm, iterations=it,
-                )
+                message = (f"semidiscrete solve stalled at iteration {it}: no step "
+                           f"along the search direction raises the dual value")
+                break
             g, _, (value, grad, chi) = accepted
         else:
             tau = base_step / np.sqrt(it)
             g = g + tau * grad
             g -= g.mean()
             _, (value, grad, _) = negated_dual(g)
+        grad_norm = float(np.abs(grad).max(initial=0.0))
+        history.append(value)
     else:
-        raise IterationLimitError(
-            f"semidiscrete solve did not reach tol={tol:g} in {max_iter} iterations",
-            best=g, residual=float(np.abs(grad).max(initial=0.0)), iterations=max_iter,
-        )
-    if full_output:
-        return g, {"iterations": it, "grad_norm": grad_norm, "values": history,
-                   "evaluations": evaluations}
-    return g
+        message = f"semidiscrete solve did not reach tol={tol:g} in {max_iter} iterations"
+    info = {"iterations": it, "grad_norm": grad_norm, "values": history,
+            "evaluations": evaluations}
+    if message is not None:
+        raise IterationLimitError(message, best=(g, info), residual=grad_norm,
+                                  iterations=it)
+    return (g, info) if full_output else g
 
 
 def _newton_direction(grad, chi, weights, epsilon, step):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoothot
-from smoothot import cli, fileio, regularized
+from smoothot import cli, entropic, fileio, flow, regularized
 from smoothot.barycenter import BarycenterProblem, solve_barycenter
 from smoothot.core import (CostMatrix, GridCost2D, IterationLimitError, grid_points_1d,
                            rescale_median)
@@ -178,6 +179,9 @@ class TestDistanceCommand:
                     "--epsilon", "0.01", "--tol", "1e-14", "--max-iter", "3",
                     "--out", tmp_path / "o.json"])
         assert code == 3
+        # a budget of no sweeps is an input error, not an exit 3 without a result
+        assert run(["distance", "--a", a, "--b", b, "--cost", c,
+                    "--epsilon", "0.01", "--max-iter", "0"]) == cli.EXIT_DATA
 
     def test_no_convergence_writes_the_best_dual_value(self, tmp_path):
         rng = np.random.default_rng(114)
@@ -195,7 +199,7 @@ class TestDistanceCommand:
         payload = json.loads((tmp_path / "o.json").read_text())
         with pytest.raises(IterationLimitError) as info:
             sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=3)
-        f, g = info.value.best
+        f, g = info.value.best.potentials.f, info.value.best.potentials.g
         assert payload["converged"] is False
         assert payload["dual_value"] == dual_value(f, g, a, b, c, 0.01)
         assert payload["iterations"] == 3
@@ -643,6 +647,31 @@ class TestCommandPipeline:
         code, out, summary = config_run(tmp_path, "flow", cfg)
         assert code == cli.EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err.startswith("flow: ")
+        trajectory = fileio.read_matrix(out)
+        assert trajectory.shape == (1, 9)
+        assert abs(trajectory.sum() - 1.0) <= 1e-12
+        payload = json.loads(summary.read_text())
+        assert payload["converged"] is False
+        assert payload["steps"] == 1 and payload["records"] == []
+
+    @pytest.mark.parametrize("failing", ["sinkhorn", "symmetric_potential"])
+    def test_flow_writes_its_steps_when_a_descent_record_runs_out(
+            self, tmp_path, monkeypatch, capsys, failing):
+        # one sweep for each record Sinkhorn, the one of W(a_0, a_0) cold on a
+        # non-symmetric cost; or one apply for the symmetric fixed point that
+        # warm-starts it on the symmetric grid1d cost
+        cfg = dict(CONVERGING["flow"])
+        if failing == "sinkhorn":
+            d = np.subtract.outer(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
+            fileio.write_matrix(tmp_path / "cost.csv", d ** 2 + 0.3 * np.abs(d) * (d > 0))
+            cfg["cost"] = {"type": "file", "path": str(tmp_path / "cost.csv")}
+            monkeypatch.setattr(flow, "sinkhorn",
+                                functools.partial(entropic.sinkhorn, max_iter=1))
+        else:
+            monkeypatch.setattr(entropic, "DEFAULT_MAX_ITER", 1)
+        code, out, summary = config_run(tmp_path, "flow", cfg)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith(f"flow: {failing} did not reach")
         trajectory = fileio.read_matrix(out)
         assert trajectory.shape == (1, 9)
         assert abs(trajectory.sum() - 1.0) <= 1e-12

@@ -325,6 +325,8 @@ class TestSinkhorn:
             sinkhorn([1.0], [1.0], [[0.0]], 0.0)
         with pytest.raises(ValueError):
             sinkhorn([1.0], [1.0], [[0.0]], 0.5, tol=0.0)
+        with pytest.raises(ValueError):
+            sinkhorn([1.0], [1.0], [[0.0]], 0.5, max_iter=0)
         a = np.full(16, 1.0 / 16)
         for f0 in (np.zeros(18), np.zeros(20), np.zeros(14), np.full(16, np.nan)):
             with pytest.raises(ValueError):
@@ -374,7 +376,8 @@ class TestSinkhorn:
         c = np.random.default_rng(0).uniform(size=(3, 4))
         with pytest.raises(IterationLimitError) as info:
             sinkhorn(a, b, c, 0.01, tol=1e-14, max_iter=3)
-        f, g = info.value.best
+        assert info.value.best.converged is False
+        f, g = info.value.best.potentials.f, info.value.best.potentials.g
         assert f.shape == (3,) and g.shape == (4,)
         assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
         resumed = sinkhorn(a, b, c, 0.01, f0=f)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smoothot import entropic, flow as flow_module
 from smoothot.core import CostMatrix, GridCost2D, IterationLimitError, grid_points_2d
 from smoothot.entropic import sinkhorn
 from smoothot.flow import FlowResult, jko_step, run_flow
@@ -195,3 +196,32 @@ class TestRunFlow:
         assert np.array_equal(best.iterates[0].weights, first.iterates[0].weights)
         assert best.records == first.records
         assert abs(best.iterates[1].weights.sum() - 1.0) <= 1e-12
+
+    def test_record_failure_carries_the_steps_so_far(self, monkeypatch):
+        # on a non-symmetric cost the record of W(a_1, a_1) starts cold; from
+        # the third Sinkhorn call on (step 2's records) the budget is one sweep
+        n = 24
+        cost, op = chain_setup(n)
+        d = np.subtract.outer(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n))
+        cost = cost + 0.3 * np.abs(d) * (d > 0)
+        a0 = two_cluster_1d(n)
+        reg = make_regularizer("tv_aniso", lam=0.5)
+        kw = dict(tol=1e-9, obj_tol=1e-12, max_iter=40000)
+        full = run_flow(a0, 2, cost, 1.0 / n, 0.1, op, reg, **kw)
+        calls = []
+
+        def short_sinkhorn(*args, **kwargs):
+            calls.append(None)
+            budget = entropic.DEFAULT_MAX_ITER if len(calls) <= 2 else 1
+            return entropic.sinkhorn(*args, max_iter=budget, **kwargs)
+
+        monkeypatch.setattr(flow_module, "sinkhorn", short_sinkhorn)
+        with pytest.raises(IterationLimitError) as info:
+            run_flow(a0, 3, cost, 1.0 / n, 0.1, op, reg, **kw)
+        assert info.value.iterations == 1
+        best = info.value.best
+        assert isinstance(best, FlowResult)
+        assert len(best.iterates) == len(best.records) + 1 == 2
+        assert best.records == full.records[:1]
+        for mine, ref in zip(best.iterates, full.iterates):
+            assert np.array_equal(mine.weights, ref.weights)

@@ -234,9 +234,16 @@ class TestSolveSemidiscrete:
             solve_semidiscrete(src, tgt, 0.3, tol=1e-15, max_iter=3)
         exc = info.value
         assert exc.iterations == 3
-        assert exc.best.shape == (3,) and abs(exc.best.mean()) <= 1e-15
-        _, grad = semidiscrete_objective_grad(exc.best, src, tgt, 0.3)
+        assert exc.best[0].shape == (3,) and abs(exc.best[0].mean()) <= 1e-15
+        _, grad = semidiscrete_objective_grad(exc.best[0], src, tgt, 0.3)
         assert exc.residual == np.abs(grad).max() > 1e-15
+
+    def test_domain_errors(self):
+        src = SampledMeasure.uniform_grid_1d(50, -1.0, 1.0)
+        tgt = DiscreteTarget([[-0.7], [0.1], [0.4]], [0.2, 0.3, 0.5])
+        for kw in ({"max_iter": 0}, {"step": 0.0}):
+            with pytest.raises(ValueError):
+                solve_semidiscrete(src, tgt, 0.3, **kw)
 
     def test_newton_iterations_on_a_jittered_lattice(self):
         # 2000 uniform samples against a jittered 4 x 4 lattice, eps = 0.1: the
@@ -301,7 +308,7 @@ class TestSolveSemidiscrete:
         with pytest.raises(IterationLimitError) as info:
             solve_semidiscrete(src, tgt, 0.1)
         assert info.value.iterations == 1
-        assert np.array_equal(info.value.best, np.zeros(2))
+        assert np.array_equal(info.value.best[0], np.zeros(2))
 
     def test_hard_cells_take_ascent_steps(self):
         # at eps = 0.01 every sample sits deep inside one cell, so the Hessian
@@ -319,7 +326,7 @@ class TestSolveSemidiscrete:
         for _ in range(5):
             g = g + 0.01 * semidiscrete_objective_grad(g, src, tgt, 0.01)[1]
             g -= g.mean()
-        assert np.allclose(info.value.best, g, rtol=0.0, atol=1e-15)
+        assert np.allclose(info.value.best[0], g, rtol=0.0, atol=1e-15)
 
     def test_zero_weight_samples(self):
         rng = np.random.default_rng(108)
