@@ -61,7 +61,7 @@ from .semidiscrete import (
     smoothed_indicator,
     solve_semidiscrete,
 )
-from .lp_oracle import exact_ot, exact_wbp, quantile_coupling_1d
+from .lp_oracle import exact_ot, exact_wbp
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "primal_value",
     "project_constraint",
     "prox_tv_conjugate",
-    "quantile_coupling_1d",
     "rescale_median",
     "run_flow",
     "semidiscrete_objective_grad",

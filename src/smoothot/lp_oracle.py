@@ -3,10 +3,11 @@
 `exact_ot` is a self-contained network simplex on the transportation polytope
 (optionally in rational arithmetic, so vertex values are certified exact).
 `smoothot distance --epsilon 0` runs it, and the tests use it as ground
-truth.  A pivot updates the basis tree in place, re-hanging only the subtree
-it cuts off; pricing is one numpy pass.  `exact_wbp` solves the barycenter
-linear program through scipy's HiGHS backend.  `quantile_coupling_1d` is the
-monotone north-west-corner plan, optimal on the line for convex costs.
+truth.  It starts from the least-cost basis, so most of the cheap cells are
+in the tree before the first pivot.  A pivot updates the basis tree in place,
+re-hanging only the subtree it cuts off; pricing is one numpy pass.
+`exact_wbp` solves the barycenter linear program through scipy's HiGHS
+backend.
 """
 
 from __future__ import annotations
@@ -32,36 +33,52 @@ class ExactOTResult:
     pivots: int
 
 
-def _northwest_corner(a, b, zero):
-    """Initial basic feasible spanning tree by the north-west-corner rule, {arc: flow}."""
+def _least_cost_basis(a, b, cost):
+    """Initial basic feasible spanning tree by the least-cost rule, {arc: flow}.
+
+    Cells are visited by increasing cost, row-major on ties.  A cell whose
+    row and column are both open takes min(rem_a, rem_b) and closes one of
+    them: the row when rem_a <= rem_b, else the column, but never the last
+    open row or column while the other side has more than one open line.
+    No later cell lands in a closed line, so the n + m - 1 cells have no
+    cycle: a spanning tree, degenerate zero flows included.
+    """
     n, m = len(a), len(b)
-    rem_a = list(a)
-    rem_b = list(b)
+    rem_a, rem_b = list(a), list(b)
+    open_row, open_col = [True] * n, [True] * m
+    rows_left, cols_left = n, m
     flows = {}
-    i = j = 0
-    while True:
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, m)
+        if not (open_row[i] and open_col[j]):
+            continue
         x = min(rem_a[i], rem_b[j])
         flows[(i, j)] = x
+        if rows_left == 1 or cols_left == 1:
+            close_row = cols_left == 1
+        else:
+            close_row = rem_a[i] <= rem_b[j]
         rem_a[i] -= x
         rem_b[j] -= x
-        if i == n - 1 and j == m - 1:
-            break
-        # advance one index per cell so the basis stays a tree; guard the
-        # boundaries so float dust in the mass balance cannot walk outside
-        if rem_a[i] == zero and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
+        if close_row:
+            open_row[i] = False
+            rows_left -= 1
         else:
-            i += 1
-    return flows
+            open_col[j] = False
+            cols_left -= 1
+        if len(flows) == n + m - 1:
+            return flows
 
 
 def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
     """Solve the transportation LP exactly by primal network simplex.
 
-    The basis tree, rooted at row 0, keeps parent pointers, depths, node
-    duals and each arc's flow on its child node.  A pivot finds the cycle by
+    The starting basis is the least-cost one: cells in order of increasing
+    cost (a stable sort of the float cost, so ties go row-major; the same
+    order in rational mode, where each Fraction is its float's exact value),
+    each taking all it can of what its row and column have left.  The basis
+    tree, rooted at row 0, keeps parent pointers, depths, node duals and
+    each arc's flow on its child node.  A pivot finds the cycle by
     walking the entering arc's endpoints up to their common ancestor, then
     re-hangs only the subtree that the leaving arc cuts off, under the other
     endpoint, recomputing that subtree's depths and duals (dual = cost - dual
@@ -105,7 +122,7 @@ def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
     shift = [n] * n + [0] * m
     # the basis in insertion order, which fixes the order of the value's sum;
     # its flows are read into flow[] here and written back after the last pivot
-    arcs = _northwest_corner(av, bv, zero)
+    arcs = _least_cost_basis(av, bv, c)
     adj = [[] for _ in range(n + m)]
     for i, j in arcs:
         adj[i].append(n + j)
@@ -218,31 +235,6 @@ def exact_ot(a, b, cost, *, rational: bool = False) -> ExactOTResult:
         col_duals=np.asarray([float(x) for x in dual[n:]]),
         pivots=pivots,
     )
-
-
-def quantile_coupling_1d(a, x, b, y, p: float = 2.0):
-    """Monotone (north-west-corner) plan between sorted 1-D supports.
-
-    Optimal for costs |x - y|^p with p >= 1 by the classical quantile
-    coupling; serves as an independent oracle for 1-D instances.
-    """
-    aw = as_weights(a, "a")
-    bw = as_weights(b, "b")
-    xs = np.asarray(x, dtype=float).ravel()
-    ys = np.asarray(y, dtype=float).ravel()
-    if xs.size != aw.size or ys.size != bw.size:
-        raise ValueError("support sizes must match the histograms")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-        raise ValueError("supports must be sorted strictly increasing")
-    if p < 1:
-        raise ValueError("exponent p must be at least 1")
-
-    flows = _northwest_corner(list(aw), list(bw), 0.0)
-    plan = np.zeros((aw.size, bw.size))
-    for (i, j), fl in flows.items():
-        plan[i, j] = fl
-    value = float(sum(fl * abs(xs[i] - ys[j]) ** p for (i, j), fl in flows.items()))
-    return plan, value
 
 
 @dataclass(frozen=True)

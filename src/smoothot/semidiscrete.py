@@ -220,7 +220,7 @@ def solve_semidiscrete(source: SampledMeasure, target: DiscreteTarget,
             _, (value, grad, _) = negated_dual(g)
         grad_norm = float(np.abs(grad).max(initial=0.0))
         history.append(value)
-    else:
+    if message is None and grad_norm > tol:  # the last allowed step counts
         message = f"semidiscrete solve did not reach tol={tol:g} in {max_iter} iterations"
     info = {"iterations": it, "grad_norm": grad_norm, "values": history,
             "evaluations": evaluations}

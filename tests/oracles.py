@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Finite differences, feasible-coupling generation by iterative proportional
-fitting, and small random-instance builders.  These stay deliberately naive:
-they must not share code paths with the implementations they check.
+fitting, the 1-D quantile coupling, and small random-instance builders.
+These stay deliberately naive: they must not share code paths with the
+implementations they check.
 """
 
 import numpy as np
@@ -74,6 +75,44 @@ def monotone_cost_1d(A, x, b, y, p=2.0):
     i = np.minimum((ca[:, None, :] < mids[:, :, None]).sum(axis=2), x.size - 1)
     j = np.minimum((cb[None, None, :] < mids[:, :, None]).sum(axis=2), y.size - 1)
     return (lengths * np.abs(x[i] - y[j]) ** p).sum(axis=1)
+
+
+def quantile_coupling_1d(a, x, b, y, p=2.0):
+    """Monotone (north-west-corner) plan between sorted 1-D supports.
+
+    Optimal for costs |x - y|^p with p >= 1 by the classical quantile
+    coupling: each step moves all it can from the lowest row with mass left
+    to the lowest column with mass left.  Returns (plan, value).
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != a.size or y.size != b.size:
+        raise ValueError("support sizes must match the histograms")
+    if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+        raise ValueError("supports must be sorted strictly increasing")
+    if p < 1:
+        raise ValueError("exponent p must be at least 1")
+    rem_a, rem_b = a.tolist(), b.tolist()
+    plan = np.zeros((a.size, b.size))
+    value = 0.0
+    i = j = 0
+    while True:
+        flow = min(rem_a[i], rem_b[j])
+        plan[i, j] = flow
+        value += flow * abs(x[i] - y[j]) ** p
+        rem_a[i] -= flow
+        rem_b[j] -= flow
+        if i == a.size - 1 and j == b.size - 1:
+            return plan, value
+        # one index per step; the guards keep float dust from walking outside
+        if rem_a[i] == 0.0 and i < a.size - 1:
+            i += 1
+        elif j < b.size - 1:
+            j += 1
+        else:
+            i += 1
 
 
 def brute_force_wbp_value(B, weights, cost_fn, step=0.01):

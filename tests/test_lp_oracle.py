@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from smoothot.lp_oracle import exact_ot, exact_wbp, quantile_coupling_1d
+from smoothot.lp_oracle import exact_ot, exact_wbp
 
 from oracles import (
     brute_force_wbp_value,
     ipf_coupling,
     monotone_cost_1d,
+    quantile_coupling_1d,
     random_histogram,
     simplex_mesh,
 )
@@ -83,15 +84,16 @@ class TestExactOT:
 
     def test_bland_rule_degenerate_instance_certified(self):
         # uniform masses and costs in {0, 1, 2}: long degenerate streaks, so
-        # this instance takes Bland's branch (11 pivots of its 151); its ties
-        # also pin the entering and leaving tie-breaks and the streak length
+        # this instance takes Bland's branch (18 pivots of its 63); its ties
+        # also pin the start's, the entering and the leaving tie-breaks and
+        # the streak length
         n = 60
         a = np.full(n, 1.0 / n)
         c = np.random.default_rng(3).integers(0, 3, size=(n, n)).astype(float)
         values = []
         for rational in (False, True):
             res = exact_ot(a, a, c, rational=rational)
-            assert res.pivots == 151
+            assert res.pivots == 63
             plan = res.coupling
             assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
             assert np.abs(plan.sum(axis=0) - a).max() <= 1e-12
@@ -102,14 +104,14 @@ class TestExactOT:
         assert abs(values[0] - values[1]) <= 1e-12
 
     def test_pivot_sequence_pinned(self):
-        # the entering rule (most negative reduced cost) fixes the pivot
-        # count on a random instance, which has no ties
+        # the least-cost start and the entering rule (most negative reduced
+        # cost) fix the pivot count on a random instance, which has no ties
         rng = np.random.default_rng(150)
         a, b = rng.uniform(0.1, 1.0, size=(2, 150))
         a, b = a / a.sum(), b / b.sum()
         c = rng.uniform(size=(150, 150))
         res = exact_ot(a, b, c)
-        assert res.pivots == 1419
+        assert res.pivots == 346
         plan = res.coupling
         assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
         assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
@@ -121,6 +123,62 @@ class TestExactOT:
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValueError):
             exact_ot([1.0], [0.5, 0.49], np.zeros((1, 2)))
+
+
+def _start_instance(name):
+    """Edge cases of the least-cost start, as (a, b, cost)."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "zero-mass":
+        a, b = np.array([0.3, 0.0, 0.7, 0.0]), np.array([0.0, 0.5, 0.5])
+    elif name == "identity":  # a row and its column empty at the same cell
+        a = random_histogram(rng, 5)
+        return a, a, 1.0 - np.eye(5)
+    else:
+        n, m = {"one-row": (1, 5), "one-column": (5, 1), "one-cell": (1, 1),
+                "tall": (9, 3), "wide": (3, 8), "constant": (4, 6)}[name]
+        a, b = random_histogram(rng, n), random_histogram(rng, m)
+        if name == "constant":  # every cell ties
+            return a, b, np.full((n, m), 2.5)
+    return a, b, rng.uniform(size=(a.size, b.size))
+
+
+START_CASES = ["zero-mass", "one-row", "one-column", "one-cell", "tall", "wide",
+               "constant", "identity"]
+
+
+class TestLeastCostStart:
+    @staticmethod
+    def certify(res, a, b, c):
+        plan = res.coupling
+        assert plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+        reduced = c - res.row_duals[:, None] - res.col_duals[None, :]
+        assert reduced.min() >= -1e-12                                  # dual feasibility
+        assert np.abs(reduced[plan > 0]).max(initial=0.0) <= 1e-12     # complementary slackness
+        assert res.value == pytest.approx(float((plan * c).sum()), abs=1e-12)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("name", START_CASES)
+    def test_edge_case_certified(self, name, rational):
+        a, b, c = _start_instance(name)
+        res = exact_ot(a, b, c, rational=rational)
+        self.certify(res, a, b, c)
+        if name in ("one-row", "one-column", "one-cell", "constant", "identity"):
+            assert res.pivots == 0  # the start is already optimal
+        if name == "identity":
+            assert res.value == 0.0
+            assert np.array_equal(res.coupling, np.diag(a))
+        if name == "zero-mass":
+            assert not res.coupling[[1, 3]].any() and not res.coupling[:, 0].any()
+
+    @pytest.mark.parametrize("name", START_CASES)
+    def test_rational_matches_float(self, name):
+        a, b, c = _start_instance(name)
+        fl = exact_ot(a, b, c)
+        ex = exact_ot(a, b, c, rational=True)
+        assert abs(fl.value - ex.value) <= 1e-12
+        assert np.abs(fl.coupling - ex.coupling).max() <= 1e-12
 
 
 class TestQuantileCoupling:

@@ -238,6 +238,20 @@ class TestSolveSemidiscrete:
         _, grad = semidiscrete_objective_grad(exc.best[0], src, tgt, 0.3)
         assert exc.residual == np.abs(grad).max() > 1e-15
 
+    def test_last_allowed_step_counts(self):
+        # the budget covers exactly the steps the free solve takes: its last
+        # step reaches tol, so the solve returns instead of raising
+        rng = np.random.default_rng(7)
+        src = SampledMeasure(rng.uniform(size=(2000, 2)), np.full(2000, 1.0 / 2000))
+        tgt = DiscreteTarget(rng.uniform(size=(16, 2)), rng.dirichlet(np.ones(16) + 1.0))
+        free, info = solve_semidiscrete(src, tgt, 0.1, tol=1e-9, full_output=True)
+        steps = len(info["values"]) - 1
+        assert steps >= 2
+        g, tight = solve_semidiscrete(src, tgt, 0.1, tol=1e-9, max_iter=steps,
+                                      full_output=True)
+        assert tight["grad_norm"] == info["grad_norm"] <= 1e-9
+        assert np.array_equal(g, free)
+
     def test_domain_errors(self):
         src = SampledMeasure.uniform_grid_1d(50, -1.0, 1.0)
         tgt = DiscreteTarget([[-0.7], [0.1], [0.4]], [0.2, 0.3, 0.5])
