@@ -15,7 +15,6 @@ from .core import (
     IterationLimitError,
     Potentials,
     entropy,
-    kl_divergence,
     rescale_median,
     softmin,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "grid_gradient",
     "jko_step",
     "joint_conjugate",
-    "kl_divergence",
     "laguerre_assign",
     "lbfgs_direction",
     "make_regularizer",

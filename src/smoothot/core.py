@@ -504,21 +504,3 @@ def entropy(p) -> float:
         return float("-inf")
     pos = m[m > 0]
     return float(-(pos * (np.log(pos) - 1.0)).sum())
-
-
-def kl_divergence(p, q) -> float:
-    """Generalized Kullback-Leibler divergence sum p*log(p/q) + sum(q - p).
-
-    Nonnegative, zero iff p == q; +inf if p puts mass where q has none.
-    """
-    pm = np.asarray(p, dtype=float)
-    qm = np.asarray(q, dtype=float)
-    if pm.shape != qm.shape:
-        raise ValueError("kl_divergence requires matching shapes")
-    if np.any(pm < 0) or np.any(qm < 0):
-        raise ValueError("kl_divergence requires nonnegative entries")
-    mask = pm > 0
-    if np.any(qm[mask] == 0):
-        return float("inf")
-    rel = float((pm[mask] * np.log(pm[mask] / qm[mask])).sum())
-    return rel + float(qm.sum() - pm.sum())

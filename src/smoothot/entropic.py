@@ -1,11 +1,16 @@
 """Entropic optimal transport between two histograms.
 
-Log-domain Sinkhorn iterations built from soft c-transforms, plus the primal
-and dual objective values.  Iterations act on the potentials (f, g) directly,
-never on the scaling vectors, so small epsilon does not overflow.  A sweep on
-a dense cost makes 2 `dense_kernel_apply` calls: each c-transform's apply
-also gives one marginal of the plan, so the residual check costs none of its
-own.  A sweep on a GridCost2D makes 3 `grid_kernel_apply` calls.  Sweeps are
+Sinkhorn iterations built from soft c-transforms, plus the primal and dual
+objective values.  `sinkhorn` has one loop for the overrelaxation, the
+safeguard and the stop test; only the arithmetic of a sweep depends on the
+cost's structure.  On a GridCost2D a sweep acts on the potentials (f, g) in
+the log domain and makes 3 `grid_kernel_apply` calls.  On a dense cost it
+acts on scalings u, v of an absorbed kernel exp((f' + g' - C)/eps), and a
+scaling that grows past a fixed bound is folded into f', g' (Schmitzer's
+stabilized scaling), so small epsilon does not overflow.  A dense sweep is
+two plain products, each of which also gives one marginal of the plan, so
+the residual check costs none of its own; a product with a sum below 1e-250
+sends its half-sweep to the exact `dense_kernel_apply`.  Sweeps are
 overrelaxed, g <- g + w (T_b(f) - g) and then f <- f + w (T_a(g) - f), with
 w = 1 for the first 20 sweeps and then w = min(cap, 2/(1 + sqrt(1 - theta)))
 from the contraction rate theta of the marginal residual at w = 1.  A sweep
@@ -15,11 +20,13 @@ safeguard costs no kernel apply.  A solve ends on a sweep at w = 1, so the
 plan's row marginal is a to rounding and its mass is 1.  The value comes from
 the last sweep's row marginal and the plan is a factored `Coupling.gibbs`, so
 on a grid no n^2 array exists unless the plan's matrix is asked for.  Via
-`_log_weights`, a zero-mass bin is a log 0 = -inf mask in every kernel input.
-`_log_kernels`, shared with `legendre`, holds the package's one kernel switch
-on the cost's structure; either path applies a whole stack in one call, as
-a shifted matrix product with an exact `logsumexp` fallback that runs only
-when one minimum over the sums finds one below 1e-250.  On a symmetric cost,
+`_log_weights`, a zero-mass bin is a log 0 = -inf mask in every log-domain
+kernel input; a dense solve sweeps on the supports and completes the
+potentials of zero bins at the end.  `_log_kernels`, shared with `legendre`,
+holds the package's one switch on the cost's structure for log-domain
+applies; either path applies a whole stack in one call, as a shifted matrix
+product with an exact `logsumexp` fallback that runs only when one minimum
+over the sums finds one below 1e-250.  On a symmetric cost,
 `symmetric_potential` finds the self-transport potential of W_eps(a, a) by
 an averaged fixed point, as a warm start for `sinkhorn`.
 """
@@ -38,6 +45,7 @@ from .core import (
     GridCost2D,
     IterationLimitError,
     Potentials,
+    _gibbs_plan,
     as_cost,
     as_kernel_cost,
     as_weights,
@@ -57,15 +65,37 @@ _REJECT = 10.0          # undo a sweep whose residual exceeds this x the best
 
 _NORMAL = np.finfo(float).tiny  # smallest normal double
 
+# `sinkhorn` folds a dense sweep's scaling into its potential once the scaling
+# exceeds this bound.  A product drops only kernel entries below 2.2e-308
+# (subnormals set to 0, or lost to exp underflow), each times a scaling of at
+# most 1e30, so a sum of n terms moves by under n * 2.2e-278, and one that
+# passes the 1e-250 underflow test by under half an ulp (1.1e-16) for n up to
+# 5e11.  A scaling below 1 only shrinks what a product drops, so the range
+# has no lower end: each kernel is built with its row sums a or its column
+# sums b, so its entries are at most about 1, and a new scaling, a mass over
+# a sum of at most n entries times 1e30, stays a normal number for masses
+# above 1e-250.
+_SCALING_BOUND = 1e30
+
+
+def _past_bound(s, mass_max, low, omega):
+    """Whether a new scaling s exceeds _SCALING_BOUND; low is its product's smallest sum.
+
+    At omega = 1, s = mass / product is at most mass_max / low, so s itself is
+    read only when that ratio does not settle it.
+    """
+    return (omega > 1.0 or mass_max > _SCALING_BOUND * low) and s.max() > _SCALING_BOUND
+
 
 def _log_kernels(cost, epsilon):
     """(x -> log K^T e^x, x -> log K e^x), K = exp(-C/eps), x a vector or (N, n) stack.
 
-    The package's one switch on the cost's structure: a GridCost2D runs this
-    module's `grid_kernel_apply` once per stack (its kernel is symmetric, so
-    both directions are one function), a dense cost, given as its validated
-    entries, `dense_kernel_apply` on kernels built here, once per solve, with
-    their subnormal entries set to 0.
+    The package's one switch on the cost's structure for log-domain applies
+    (`sinkhorn` sweeps a dense cost on an absorbed kernel of its own): a
+    GridCost2D runs this module's `grid_kernel_apply` once per stack (its
+    kernel is symmetric, so both directions are one function), a dense cost,
+    given as its validated entries, `dense_kernel_apply` on kernels built
+    here, once per solve, with their subnormal entries set to 0.
     """
     if isinstance(cost, GridCost2D):
         def apply(x):
@@ -191,7 +221,142 @@ class SinkhornResult:
     col_residual: float
     restarts: int = 0
     converged: bool = True
+    absorptions: int = 0
 
+
+class _GridSweeps:
+    """`sinkhorn`'s sweeps on a GridCost2D: log domain, 3 grid applies each.
+
+    The state is (f, g, log K^T e^{f/eps + ma}).  Zero bins stay in place as
+    masks, so f of a zero row is its unit-weight transform after every sweep.
+    """
+
+    absorptions = 0  # a grid builds no absorbed kernel
+
+    def __init__(self, a, b, cost, epsilon, f):
+        self.a, self.b, self.epsilon = a, b, epsilon
+        self.cols, self.rows = _log_kernels(cost, epsilon)
+        (self.la, self.ma), (self.lb, self.mb) = _log_weights(a), _log_weights(b)
+        self.state = f, np.zeros(b.size), None
+
+    def sweep(self, omega):
+        """One sweep at relaxation omega; returns the plan's row and column marginals."""
+        eps = self.epsilon
+        f, g, _ = self.state
+        # the kernel is applied to f again rather than log_kf carried over
+        # from the last sweep: the same numbers, one apply more.  A 2-apply
+        # sweep must move perfbench's pin of 3 applies a sweep with it, which
+        # is ROADMAP item 2's benchmark change
+        log_kf = self.cols(f / eps + self.ma)
+        t = eps * (self.lb - log_kf)
+        g = t if omega == 1.0 else g + omega * (t - g)
+        v = g / eps + self.mb
+        log_kg = self.rows(v)
+        t = eps * (self.la - log_kg)
+        f = t if omega == 1.0 else f + omega * (t - f)
+        u = f / eps + self.ma
+        log_kf = self.cols(u)
+        self.state = f, g, log_kf
+        return np.exp(u + log_kg), np.exp(v + log_kf)
+
+    def potentials(self):
+        f, g, log_kf = self.state
+        # g of a zero column: the transform of the final f, like f of a zero row
+        return f, np.where(self.b > 0, g, -self.epsilon * log_kf)
+
+
+class _DenseSweeps:
+    """`sinkhorn`'s sweeps on a dense cost: two plain products on an absorbed kernel.
+
+    On the supports of a and b the state is (f', g', K, u, v, K^T u), with
+    K = exp((f' + g' - C)/eps) (subnormal entries set to 0), so that
+    f = f' + eps log u and g = g' + eps log v (Schmitzer, arXiv:1610.06519,
+    section 3).  A sweep is v <- b / K^T u, then u <- a / K v, each scaling
+    moved to s (t/s)^omega for its target t at omega > 1.  A scaling above
+    _SCALING_BOUND is folded into (f', g'), and K rebuilt with u = v = 1; a
+    half-sweep whose product has a sum below 1e-250 is redone with the exact
+    `dense_kernel_apply` and folded the same way.  `absorptions` counts the
+    kernel builds, the first one included.
+    """
+
+    def __init__(self, a, b, cost, epsilon, f):
+        self.full = a, b, cost
+        self.on_a, self.on_b = a > 0, b > 0
+        self.zero_bins = not (self.on_a.all() and self.on_b.all())
+        if self.zero_bins:
+            a, b, f = a[self.on_a], b[self.on_b], f[self.on_a]
+            cost = cost[np.ix_(self.on_a, self.on_b)]
+        self.a, self.b, self.cost, self.epsilon = a, b, cost, epsilon
+        self.log_a, self.log_b = np.log(a), np.log(b)
+        self.a_max, self.b_max = a.max(), b.max()
+        self.ones = np.ones(a.size), np.ones(b.size)
+        self.exact = _log_kernels(cost, epsilon)
+        self.absorptions = 0
+        # g' is the exact column transform of f, so K^T 1 = b
+        g = epsilon * (self.log_b - self.exact[0](f / epsilon))
+        self.state = self._absorb(f, g) + (b,)
+
+    def _absorb(self, f, g):
+        """(f, g, K, 1, 1) for the kernel of potentials f, g."""
+        kern = _gibbs_plan(f, g, self.cost, self.epsilon)
+        # subnormal entries slow every product (see `_log_kernels`)
+        kern[kern < _NORMAL] = 0.0
+        self.absorptions += 1
+        return (f, g, kern) + self.ones
+
+    def _fold(self, f, g, u, v):
+        eps = self.epsilon
+        return self._absorb(f + eps * np.log(u), g + eps * np.log(v))
+
+    def sweep(self, omega):
+        """One sweep at relaxation omega; returns the plan's row and column marginals."""
+        eps = self.epsilon
+        fb, gb, kern, u, v, ktu = self.state
+        low = ktu.min()
+        if low < _UNDERFLOW:  # the exact column half-sweep
+            f = fb + eps * np.log(u)
+            t = eps * (self.log_b - self.exact[0](f / eps))
+            g = gb + eps * np.log(v)
+            fb, gb, kern, u, v = self._absorb(f, t if omega == 1.0 else g + omega * (t - g))
+        else:
+            t = self.b / ktu
+            v = t if omega == 1.0 else v * (t / v) ** omega
+            if _past_bound(v, self.b_max, low, omega):
+                fb, gb, kern, u, v = self._fold(fb, gb, u, v)
+        kv = kern @ v
+        low = kv.min()
+        if low < _UNDERFLOW:  # the exact row half-sweep
+            g = gb + eps * np.log(v)
+            log_kg = self.exact[1](g / eps)
+            t = eps * (self.log_a - log_kg)
+            f = fb + eps * np.log(u)
+            f = t if omega == 1.0 else f + omega * (t - f)
+            fb, gb, kern, u, v = self._absorb(f, g)
+            row = np.exp(f / eps + log_kg)
+        else:
+            t = self.a / kv
+            u = t if omega == 1.0 else u * (t / u) ** omega
+            row = u * kv
+            if _past_bound(u, self.a_max, low, omega):
+                fb, gb, kern, u, v = self._fold(fb, gb, u, v)
+        # the column marginal's K^T u is the next sweep's column product
+        ktu = u @ kern
+        self.state = fb, gb, kern, u, v, ktu
+        return row, v * ktu
+
+    def potentials(self):
+        """f and g on every bin; a zero bin's is the unit-weight transform of the other."""
+        fb, gb, _, u, v, _ = self.state
+        eps = self.epsilon
+        f, g = fb + eps * np.log(u), gb + eps * np.log(v)
+        if not self.zero_bins:
+            return f, g
+        a, b, cost = self.full
+        ff, gg = np.full(a.size, -np.inf), np.full(b.size, -np.inf)
+        ff[self.on_a], gg[self.on_b] = f, g
+        cols, rows = _log_kernels(cost, eps)
+        return (np.where(self.on_a, ff, -eps * rows(gg / eps)),
+                np.where(self.on_b, gg, -eps * cols(ff / eps)))
 
 def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, f0=None) -> SinkhornResult:
@@ -227,16 +392,23 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
     one more sweep runs at w = 1 and the solve stops when it meets tol too,
     so f = T_a(g) at return and the plan's row marginal is a to rounding.
 
-    Zero bins stay in place as masks, 0 on the support and -inf off it,
-    added to f/eps and g/eps in the kernel inputs, with unit log weights off
-    the support.  So a zero bin carries no mass, and its potential is the
-    unit-weight transform of the other one: finite, and a valid warm start.
-    Returns the potentials, the implied plan diag(e^{f/eps}) K diag(e^{g/eps})
-    as a factored `Coupling.gibbs`, and the dual objective value
-    <f,a> + <g,b> - eps * sum(P), with the plan's mass taken from the last
-    sweep's row marginal.  Neither takes a kernel apply of its own.  A
-    GridCost2D, zero bins or not, is solved by `grid_kernel_apply` alone, so
-    its entries are never built.
+    Only the arithmetic of a sweep depends on the cost's structure.  A
+    GridCost2D, zero bins or not, is swept in the log domain by three
+    `grid_kernel_apply` calls, with zero bins as masks (0 on the support,
+    -inf off it) in the kernel inputs, so its entries are never built.  A
+    dense cost is swept on the supports of a and b as two plain products
+    with an absorbed kernel exp((f' + g' - C)/eps): the scalings u, v with
+    f = f' + eps log u and g = g' + eps log v are updated as v = b / K^T u
+    and u = a / K v, and folded into (f', g') when one exceeds 1e30 or a
+    product underflows, the latter after an exact log-domain half-sweep;
+    `absorptions` counts the kernel builds.  The set-up takes one exact apply
+    of f0 (or 0) for the first g'.  A zero bin carries no mass, and its
+    potential is the unit-weight transform of the other one: finite, and a
+    valid warm start.  Returns the potentials, the implied plan
+    diag(e^{f/eps}) K diag(e^{g/eps}) as a factored `Coupling.gibbs`, and the
+    dual objective value <f,a> + <g,b> - eps * sum(P), with the plan's mass
+    taken from the last sweep's row marginal.  Neither takes a kernel apply
+    of its own.
     """
     if not epsilon > 0:
         raise ValueError("sinkhorn requires epsilon > 0")
@@ -256,42 +428,26 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         if f.shape != aw.shape or not np.all(np.isfinite(f)):
             raise ValueError("f0 must be a finite vector with one entry per bin of a")
 
-    log_k_cols, log_k_rows = _log_kernels(c, epsilon)
-    grid = isinstance(c, GridCost2D)
-    (la, ma), (lb, mb) = _log_weights(aw), _log_weights(bw)
-    g = np.zeros(bw.size)
-    log_kf = None if grid else log_k_cols(f / epsilon + ma)
+    sweeps = (_GridSweeps if isinstance(c, GridCost2D) else _DenseSweeps)(
+        aw, bw, c, epsilon, f)
     omega, cap, best_res = 1.0, _OMEGA_CAP, np.inf
     plain = []  # residuals of the sweeps at omega = 1 since the last restart
     restarts = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         if omega > 1.0:
-            kept = f, g, log_kf, row, row_res, col_res
-        if grid:
-            # the grid sweep applies the kernel to f again rather than carry
-            # log_kf over from the last sweep: the same numbers, one apply
-            # more (ROADMAP item 4 drops it)
-            log_kf = log_k_cols(f / epsilon + ma)
-        # one full sweep: column transform then row transform, in log domain;
-        # log_kf is both the last sweep's column residual and this g-update
-        t = epsilon * (lb - log_kf)
-        g = t if omega == 1.0 else g + omega * (t - g)
-        v = g / epsilon + mb
-        log_kg = log_k_rows(v)
-        t = epsilon * (la - log_kg)
-        f = t if omega == 1.0 else f + omega * (t - f)
-        u = f / epsilon + ma
-        log_kf = log_k_cols(u)
-        # an overrelaxed sweep may overflow; the safeguard then undoes it
-        with np.errstate(over="ignore") if omega > 1.0 else nullcontext():
-            row = np.exp(u + log_kg)  # the plan's row marginal
-            row_res = float(np.abs(row - aw).sum())
-            col_res = float(np.abs(np.exp(v + log_kf) - bw).sum())
+            kept = sweeps.state, row, row_res, col_res
+        # an overrelaxed sweep may blow up (overflow, inf / inf, log 0); the
+        # safeguard then undoes it
+        with (np.errstate(over="ignore", divide="ignore", invalid="ignore")
+              if omega > 1.0 else nullcontext()):
+            row, col = sweeps.sweep(omega)
+            row_res = float(np.abs(row - sweeps.a).sum())
+            col_res = float(np.abs(col - sweeps.b).sum())
         residual = max(row_res, col_res)
         if omega > 1.0 and not residual <= _REJECT * best_res:
             # safeguard: undo the sweep, lower the cap, measure theta again
-            f, g, log_kf, row, row_res, col_res = kept
+            sweeps.state, row, row_res, col_res = kept
             cap = 1.0 + 0.5 * (omega - 1.0)
             omega = 1.0
             plain = []
@@ -312,9 +468,9 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
                 theta = min(1.0, ratio ** (1.0 / _RATE_WINDOW))
                 omega = min(cap, 2.0 / (1.0 + np.sqrt(1.0 - theta)))
 
+    f, g = sweeps.potentials()
     value = float(np.dot(f, aw) + np.dot(g, bw) - epsilon * row.sum())
-    # g of a zero column: the transform of the final f, like f of a zero row
-    g = np.where(bw > 0, g, -epsilon * log_kf)
+    (_, ma), (_, mb) = _log_weights(aw), _log_weights(bw)
     result = SinkhornResult(
         potentials=Potentials(f, g),
         coupling=Coupling.gibbs(f + epsilon * ma, g + epsilon * mb, c, epsilon, aw, bw),
@@ -324,6 +480,7 @@ def sinkhorn(a, b, cost, epsilon: float, *, tol: float = DEFAULT_TOL,
         col_residual=col_res,
         restarts=restarts,
         converged=converged,
+        absorptions=sweeps.absorptions,
     )
     if not converged:
         raise IterationLimitError(

@@ -116,22 +116,6 @@ def identity_operator(n: int) -> LinearOperator:
     )
 
 
-def estimate_norm(op: LinearOperator, n: int, iters: int = 200, seed: int = 0) -> float:
-    """Power-iteration estimate of ||A||, for checking norm bounds."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = op.adjoint(op.forward(x))
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        sigma = norm
-        x = y / norm
-    return float(np.sqrt(sigma))
-
-
 def prox_tv_conjugate(g, tau: float, lam: float, beta: int) -> np.ndarray:
     """Projection onto the dual ball of the total-variation seminorm.
 

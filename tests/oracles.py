@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
 Finite differences, feasible-coupling generation by iterative proportional
-fitting, the 1-D quantile coupling, and small random-instance builders.
+fitting, the 1-D quantile coupling, a power-iteration operator norm, and
+small random-instance builders.
 These stay deliberately naive: they must not share code paths with the
 implementations they check.
 """
@@ -123,3 +124,19 @@ def brute_force_wbp_value(B, weights, cost_fn, step=0.01):
     has ~1.8e5 points at step 0.01.
     """
     return float(np.min(cost_fn(simplex_mesh(step))))
+
+
+def estimate_norm(op, n, iters=200, seed=0):
+    """Power-iteration estimate of ||A|| for a linear operator on R^n."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for _ in range(iters):
+        y = op.adjoint(op.forward(x))
+        norm = np.linalg.norm(y)
+        if norm == 0:
+            return 0.0
+        sigma = norm
+        x = y / norm
+    return float(np.sqrt(sigma))

@@ -14,7 +14,6 @@ from smoothot.core import (
     entropy,
     grid_kernel_apply,
     grid_points_2d,
-    kl_divergence,
     logsumexp,
     rescale_median,
     softmin,
@@ -23,7 +22,6 @@ from smoothot.core import (
 # frozen 50-digit evaluations of the defining formulas (mpmath)
 SOFTMIN_01_EPS1 = -0.3132616875182228
 ENTROPY_HALF_HALF = 1.6931471805599453
-LOG2 = 0.6931471805599453
 
 # log-sum-exp of LSE_MATRIX, whose entries spread past +-745 so that a naive
 # exp overflows or underflows, and of the (2, 3, 3) stack [M, M.T - 3]
@@ -130,33 +128,6 @@ class TestEntropy:
             assert mid >= avg
             if np.abs(p - q).max() > 1e-3:
                 assert mid > avg
-
-
-class TestKLDivergence:
-    def test_equal_arguments(self):
-        p = np.array([[0.3, 0.7]])
-        assert kl_divergence(p, p) == 0.0
-
-    def test_frozen_value(self):
-        assert kl_divergence([[1.0, 0.0]], [[0.5, 0.5]]) == pytest.approx(LOG2, abs=1e-14)
-
-    def test_mass_only(self):
-        assert kl_divergence([[0.0, 0.0]], [[0.5, 0.5]]) == 1.0
-
-    def test_infinite_sentinel(self):
-        assert kl_divergence([[0.5, 0.5]], [[1.0, 0.0]]) == np.inf
-
-    def test_nonnegative_zero_iff_equal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p = rng.uniform(0.01, 1.0, size=(2, 3))
-            q = rng.uniform(0.01, 1.0, size=(2, 3))
-            assert kl_divergence(p, q) >= 0.0
-            assert kl_divergence(p, p) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestHistogram:

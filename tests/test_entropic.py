@@ -258,7 +258,7 @@ class TestSinkhorn:
         a = np.array([0.3, 0.0, 0.7])
         b = np.array([0.5, 0.5, 0.0, 0.0])
         c = np.random.default_rng(0).uniform(size=(3, 4))
-        for eps in (0.5, 0.05):
+        for eps in (0.5, 0.05, 1e-3):
             res = sinkhorn(a, b, c, eps)
             alone = sinkhorn(a[[0, 2]], b[:2], c[np.ix_([0, 2], [0, 1])], eps)
             assert abs(res.value - alone.value) <= 1e-10
@@ -271,7 +271,7 @@ class TestSinkhorn:
         a = np.array([0.3, 0.0, 0.7])
         b = np.array([0.5, 0.5, 0.0, 0.0])
         c = np.random.default_rng(0).uniform(size=(3, 4))
-        for eps in (0.5, 0.05):
+        for eps in (0.5, 0.05, 1e-3):
             res = sinkhorn(a, b, c, eps)
             f, g = res.potentials.f, res.potentials.g
             assert abs(dual_value(f, g, a, b, c, eps) - res.value) <= 1e-12
@@ -344,21 +344,71 @@ class TestSinkhorn:
         a = random_histogram(rng, 10, floor=1e-3)
         b = random_histogram(rng, 10, floor=1e-3)
         c = rng.uniform(size=(10, 10))
+        # row 2 costs 1 more than the cheapest entry of each column in b's
+        # support, so at eps = 1e-3 the first K v underflows there; row 3 and
+        # column 1 are zero bins
+        za = np.array([0.3, 0.3, 0.4, 0.0])
+        zb = np.array([0.5, 0.0, 0.5])
+        zc = np.array([[0.0, 0.2, 0.5], [0.5, 0.3, 0.0], [1.0, 0.4, 1.0], [0.1, 0.6, 0.7]])
+        events = []
+        apply, build = entropic.dense_kernel_apply, entropic._gibbs_plan
+
+        class Kernel(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    events.append("product")
+                inputs = [x.view(np.ndarray) if isinstance(x, Kernel) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def counted(*args, **kwargs):
+            events.append("apply")
+            return apply(*args, **kwargs)
+
+        def built(*args):
+            events.append("build")
+            return build(*args).view(Kernel)
+
+        monkeypatch.setattr(entropic, "dense_kernel_apply", counted)
+        monkeypatch.setattr(entropic, "_gibbs_plan", built)
+        for x, y, cost, eps, exact_sweeps in ((za, zb, zc, 1e-3, 1), (a, b, c, 0.05, 0)):
+            events.clear()
+            res = sinkhorn(x, y, cost, eps, tol=1e-9)
+            # exact applies: one for the set-up, one before each re-absorption
+            # after an underflow, and two at the end to complete zero bins;
+            # every sweep makes two plain products with the absorbed kernel
+            last = len(events) - events[::-1].index("product")
+            assert events[:2] == ["apply", "build"]
+            mid = [i for i in range(2, last) if events[i] == "apply"]
+            assert all(events[i + 1] == "build" for i in mid)
+            assert len(mid) == exact_sweeps
+            assert events[last:] == ["apply"] * (2 if 0 in x else 0)
+            assert events.count("product") == 2 * res.iterations
+            assert events.count("build") == res.absorptions
+        assert res.iterations > 10
+        assert res.coupling.row_residual == pytest.approx(res.row_residual, abs=1e-14)
+        assert res.coupling.col_residual == pytest.approx(res.col_residual, abs=1e-14)
+
+    def test_small_eps_sweeps_make_no_logsumexp_call(self, monkeypatch):
+        # criterion 4's costs at eps = 1e-3: no sum of the absorbed kernel's
+        # products underflows, so no apply falls back to logsumexp; the
+        # set-up's apply of f = 0 cannot, as each column's sum holds exp(0)
         calls = []
-        apply = entropic.dense_kernel_apply
+        lse = entropic.logsumexp
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return apply(*args, **kwargs)
+            return lse(*args, **kwargs)
 
-        monkeypatch.setattr(entropic, "dense_kernel_apply", counted)
-        res = sinkhorn(a, b, c, 0.05, tol=1e-9)
-        # one kernel apply before the first sweep and two per sweep; the value
-        # and the plan take none
-        assert res.iterations > 10
-        assert len(calls) == 2 * res.iterations + 1
-        assert res.coupling.row_residual == pytest.approx(res.row_residual, abs=1e-14)
-        assert res.coupling.col_residual == pytest.approx(res.col_residual, abs=1e-14)
+        monkeypatch.setattr(entropic, "logsumexp", counted)
+        rng = np.random.default_rng(204)
+        for _ in range(5):
+            a = random_histogram(rng, 10)
+            b = random_histogram(rng, 10)
+            c = rng.uniform(size=(10, 10))
+            res = sinkhorn(a, b, c, 1e-3, tol=1e-11, max_iter=500_000)
+            assert calls == []
+            assert res.row_residual <= 1e-11 and res.col_residual <= 1e-11
+            assert res.absorptions >= 1
 
     def test_iteration_limit_carries_residual(self):
         rng = np.random.default_rng(13)

@@ -7,7 +7,6 @@ from smoothot.core import GridCost2D, IterationLimitError
 from smoothot.legendre import semidual_conjugate_batch
 from smoothot.regularized import (
     LinearOperator,
-    estimate_norm,
     graph_gradient,
     grid_gradient,
     identity_operator,
@@ -16,7 +15,7 @@ from smoothot.regularized import (
     solve_regularized,
 )
 
-from oracles import random_histogram
+from oracles import estimate_norm, random_histogram
 
 
 def two_shapes(h, w, floor=1e-3):
